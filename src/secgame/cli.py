@@ -1,8 +1,9 @@
 """Command-line interface: solve, sweep, verify and gradcheck.
 
 Scenario files are JSON documents with top-level keys ``model``, ``initial``
-and ``solver``; unknown keys are rejected with the offending path.  Exit
-codes: 0 success, 2 non-convergence, 3 validation error, 4 verification
+and ``solver``; unknown keys and non-finite numbers are rejected with the
+offending path.  Exit codes: 0 success, 2 non-convergence (including a solve
+stopped by a non-finite operator value), 3 validation error, 4 verification
 failure.  Sweep CSV columns are
 param,u_1..u_m,Q_1_1..Q_m_n,lambda_1..lambda_m,EU_1..EU_m,residual,iters,converged
 with full-precision decimal numbers; identical invocations produce
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -25,7 +27,7 @@ from .scenarios import (BUILTIN_SCENARIOS, BUILTIN_SWEEPS, CROSSING_BANDS,
                         REFERENCE_TARGETS, Scenario, SweepSpec, builtin_sweep,
                         crossing_reconciliation, find_crossing, reconciliation_report,
                         run_sweep, scenario_by_name, solve_scenario)
-from .solver import SolverConfig, verify_equilibrium
+from .solver import SolverConfig, SolverNumericError, verify_equilibrium
 from .vi import DecisionVector, ViProblem, fd_check_random
 
 EXIT_OK = 0
@@ -57,7 +59,10 @@ def _check_keys(obj, path, required, optional=()):
 def _number(obj, path):
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         raise SchemaError(path, "expected a number")
-    return float(obj)
+    value = float(obj)
+    if not math.isfinite(value):
+        raise SchemaError(path, "expected a finite number")
+    return value
 
 
 def _integer(obj, path):
@@ -93,13 +98,10 @@ def scenario_from_data(data, name="scenario"):
             costs.append(TransactionCostParams(a=_number(cdata["a"], f"{cpath}.a"),
                                                b=_number(cdata["b"], f"{cpath}.b"),
                                                s=_number(cdata["s"], f"{cpath}.s")))
+        fields = {key: _number(rdata[key], f"{rpath}.{key}")
+                  for key in ("c", "B", "D", "t", "mu")}
         try:
-            retailers.append(RetailerParams(c=_number(rdata["c"], f"{rpath}.c"),
-                                            B=_number(rdata["B"], f"{rpath}.B"),
-                                            D=_number(rdata["D"], f"{rpath}.D"),
-                                            t=_number(rdata["t"], f"{rpath}.t"),
-                                            mu=_number(rdata["mu"], f"{rpath}.mu"),
-                                            costs=tuple(costs)))
+            retailers.append(RetailerParams(costs=tuple(costs), **fields))
         except ValueError as exc:
             raise SchemaError(rpath, str(exc)) from exc
 
@@ -107,10 +109,10 @@ def scenario_from_data(data, name="scenario"):
     for i, kdata in enumerate(_array(mdata["markets"], f"{mpath}.markets")):
         kpath = f"{mpath}.markets[{i}]"
         _check_keys(kdata, kpath, required=("alpha", "gamma", "kappa"))
+        fields = {key: _number(kdata[key], f"{kpath}.{key}")
+                  for key in ("alpha", "gamma", "kappa")}
         try:
-            markets.append(MarketParams(alpha=_number(kdata["alpha"], f"{kpath}.alpha"),
-                                        gamma=_number(kdata["gamma"], f"{kpath}.gamma"),
-                                        kappa=_number(kdata["kappa"], f"{kpath}.kappa")))
+            markets.append(MarketParams(**fields))
         except ValueError as exc:
             raise SchemaError(kpath, str(exc)) from exc
 
@@ -139,6 +141,8 @@ def scenario_from_data(data, name="scenario"):
                                 np.array(idata["lambda"], dtype=float))
         except (TypeError, ValueError) as exc:
             raise SchemaError(ipath, str(exc)) from exc
+        if not np.all(np.isfinite(x0.flat())):
+            raise SchemaError(ipath, "expected finite numbers")
     else:
         x0 = DecisionVector(np.ones((m, n)), np.zeros(m), np.zeros(m))
 
@@ -303,8 +307,14 @@ def cmd_sweep(args):
     else:
         if args.param is None or args.start is None or args.stop is None:
             raise SchemaError("sweep", "custom sweeps need --param, --from and --to")
-        base = load_scenario(args.scenario)
         coupling = "shares" if args.param.startswith("t") else "direct"
+        if coupling == "shares" and args.scenario not in BUILTIN_SCENARIOS:
+            # Shares coupling rebuilds the model from the built-in family,
+            # which would silently replace the file's markets and costs.
+            raise SchemaError("--param", f"{args.param}: shares coupling is defined only "
+                              f"for the built-in scenario family, not for "
+                              f"{args.scenario!r}")
+        base = load_scenario(args.scenario)
         try:
             spec = SweepSpec(base, args.param, args.start, args.stop, args.steps,
                              coupling=coupling)
@@ -440,6 +450,9 @@ def main(argv=None):
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except SolverNumericError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -7,9 +7,13 @@ direction d = (X - Xt) - beta * (F(X) - F(Xt)) with relaxation rho.  When r
 falls below its lower limit the step size is enlarged for the next
 iteration.  Termination is on the sup-norm natural residual.
 
-Also provides a Gauss-Seidel best-response driver (each retailer block is
-solved by the same method with rivals frozen) and a grid-search equilibrium
-verifier, both used as independent cross-checks of the main solve.
+Also provides a Gauss-Seidel best-response driver and a grid-search
+equilibrium verifier, both used as independent cross-checks of the main
+solve.  The best-response driver runs no projection-contraction step: with
+rivals frozen, each retailer's shipments solve affine first-order conditions
+in closed form, its level is the root of a strictly increasing stationarity
+condition found by bisection under the budget bound, and its multiplier
+follows from the KKT conditions.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ModelSpec
-from .vi import U_CAP, BoxVi, DecisionVector, ViProblem
+from .vi import U_CAP, DecisionVector, ViProblem
 
 __all__ = [
     "SolverConfig",
@@ -87,8 +91,10 @@ class SolverReport:
     ``solution`` is the flat iterate (use ViProblem.split for the structured
     view).  ``final_residual`` is the stopping metric: the natural residual
     for ``solve``, the last sweep's maximum block change for
-    ``best_response_solve``.  ``trace`` holds per-iteration
-    (residual, beta, r) triples when recording was requested.
+    ``best_response_solve``.  ``beta_retries`` counts shrunken prediction
+    steps of ``solve``; it is always 0 for ``best_response_solve``, which
+    takes no such steps.  ``trace`` holds per-iteration (residual, beta, r)
+    triples when recording was requested.
     """
 
     solution: np.ndarray
@@ -193,60 +199,94 @@ def solve(problem, config=None, x0=None, record_trace=False, iterate_callback=No
     return SolverReport(x, iterations, residual, False, retries, trace)
 
 
-def _block_indices(problem: ViProblem, x_idx):
-    n = problem.model.n
-    m = problem.model.m
-    mn = m * n
-    q_idx = np.arange(x_idx * n, (x_idx + 1) * n)
-    return np.concatenate([q_idx, [mn + x_idx], [mn + m + x_idx]])
+# Halvings of the level bracket [0, u_cap] with u_cap <= 1: 2**-60 is below
+# the float spacing of every level in [0.5, 1), so the root is exact to the
+# last bit where equilibria live.
+_BISECTION_STEPS = 60
 
 
-class _BlockVi(BoxVi):
-    """Retailer x's own-block VI with all rival variables frozen."""
+def _block_best_response(problem: ViProblem, x, x_idx):
+    """Retailer x_idx's exact best response to its rivals frozen in ``x``.
 
-    def __init__(self, parent: ViProblem, idx, frozen):
-        self._parent = parent
-        self._idx = idx
-        self._frozen = frozen
-        super().__init__(self._op, parent.lower[idx], parent.upper[idx])
+    Returns a copy of ``x`` with the (Q row, u, lambda) block replaced.
+    Shipments: F1[x, y] is affine in Q[x, y] alone with slope 2as - 2alpha,
+    positive under the model validators (alpha < 0, a >= 0, s > 0), so one
+    clipped Newton step from one operator evaluation solves each market.
+    Level: with lambda = 0, F2[x] strictly increases in u_x (slope
+    1/(1-u)^2 + 2DM/m >= 1), so bisection on [0, min(U_CAP, 1 - e^-B)] finds
+    its root; the budget is a plain bound here.  Multiplier: zero unless u_x
+    sits on the budget bound, where KKT gives lambda = -(1-u) F2|lambda=0.
+    """
+    model = problem.model
+    m, n = model.m, model.n
+    q = slice(x_idx * n, (x_idx + 1) * n)
+    iu = m * n + x_idx
+    il = iu + m
 
-    def _op(self, z):
-        xf = self._frozen.copy()
-        xf[self._idx] = z
-        return self._parent.operator(xf)[self._idx]
+    def operator(z):
+        fz = problem.operator(z)
+        if not math.isfinite(float(fz.sum())):
+            raise ValueError("operator returned non-finite values")
+        return fz
+
+    slope = 2.0 * model.cost_a[x_idx] * model.cost_s[x_idx] - 2.0 * model.alpha_vec
+    z = x.copy()
+    z[q] = np.clip(z[q] - operator(z)[q] / slope, 0.0, model.q_upper)
+    z[il] = 0.0
+
+    def f2(u):
+        z[iu] = u
+        return float(operator(z)[iu])
+
+    u_budget = -math.expm1(-model.retailers[x_idx].B)
+    u_cap = min(U_CAP, u_budget)
+    if f2(0.0) >= 0.0:
+        u = 0.0
+    elif f2(u_cap) <= 0.0:
+        u = u_cap
+    else:
+        lo, hi = 0.0, u_cap
+        for _ in range(_BISECTION_STEPS):
+            mid = 0.5 * (lo + hi)
+            if f2(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        u = 0.5 * (lo + hi)
+    z[il] = max(0.0, -(1.0 - u) * f2(u)) if u >= u_budget else 0.0
+    z[iu] = u
+    return z
 
 
 def best_response_solve(problem: ViProblem, config=None, x0=None, max_sweeps=1000):
     """Gauss-Seidel best-response iteration over retailer blocks.
 
-    Each sweep solves every retailer's (Q row, u, lambda) block to tolerance
-    by the projection-contraction method with rivals frozen at their current
-    values; sweeps repeat until the largest block change is at most
+    Each sweep replaces every retailer's (Q row, u, lambda) block, in order,
+    by its exact best response to the current rival values (closed-form
+    shipments, bisection on the level, KKT multiplier); no projection-
+    contraction iteration runs, so the result is an independent check of
+    ``solve``.  Sweeps repeat until the largest block change is at most
     config.tol.  The report counts sweeps in ``iterations`` and the last
-    sweep's maximum block change in ``final_residual``.  If the change metric
-    reaches no new minimum over 50 consecutive sweeps the run is flagged as
-    cycling and reported unconverged.
+    sweep's maximum block change in ``final_residual``; ``beta_retries`` is
+    always 0.  If the change metric reaches no new minimum over 50
+    consecutive sweeps the run is flagged as cycling and reported
+    unconverged.
     """
     if config is None:
         config = SolverConfig()
     x = problem.project(np.asarray(x0, dtype=float)) if x0 is not None else problem.default_start()
-    m = problem.model.m
-    blocks = [_block_indices(problem, xi) for xi in range(m)]
-    retries = 0
     changes = []
     converged = False
     change = math.inf
 
-    for _ in range(max_sweeps):
-        change = 0.0
-        for xi in range(m):
-            idx = blocks[xi]
-            sub = _BlockVi(problem, idx, x)
-            rep = solve(sub, config, x0=x[idx])
-            retries += rep.beta_retries
-            change = max(change, float(np.max(np.abs(rep.solution - x[idx]))))
-            x = x.copy()
-            x[idx] = rep.solution
+    for sweep in range(max_sweeps):
+        x_prev = x
+        try:
+            for xi in range(problem.model.m):
+                x = _block_best_response(problem, x, xi)
+        except ValueError as exc:
+            raise SolverNumericError(str(exc), sweep) from exc
+        change = float(np.max(np.abs(x - x_prev)))
         changes.append(change)
         if change <= config.tol:
             converged = True
@@ -254,7 +294,7 @@ def best_response_solve(problem: ViProblem, config=None, x0=None, max_sweeps=100
         if len(changes) > 50 and min(changes[-50:]) >= min(changes[:-50]):
             break  # no progress in 50 sweeps: treat as cycling
 
-    return SolverReport(x, len(changes), change, converged, retries)
+    return SolverReport(x, len(changes), change, converged)
 
 
 @dataclass
@@ -299,6 +339,11 @@ def _utility_grid(model: ModelSpec, x_idx, rest_d, rest_u_sum, u_grid, q_grids):
     return total
 
 
+# Largest own-move lattice verify_equilibrium will build for one retailer:
+# each lattice point becomes a float64 cell in several full-size arrays.
+_MAX_GRID_POINTS = 10_000_000
+
+
 def _grid_axes(lo, hi, density):
     return np.linspace(lo, hi, density)
 
@@ -311,10 +356,17 @@ def verify_equilibrium(model: ModelSpec, point: DecisionVector, grid_density=50,
     over the budget-feasible range) is scanned on a grid with rivals fixed,
     then the grid is refined around the best cell.  Purely diagnostic; a
     positive improvement means the retailer could deviate profitably.
+    The lattice has grid_density**(n+1) points per retailer; above
+    _MAX_GRID_POINTS the audit is refused with ValueError rather than
+    coarsened.
     """
     if grid_density < 2:
         raise ValueError("grid_density must be at least 2")
     m, n = model.m, model.n
+    points = grid_density ** (n + 1)
+    if points > _MAX_GRID_POINTS:
+        raise ValueError(f"grid density {grid_density} gives {points} lattice points "
+                         f"per retailer for {n} markets; the limit is {_MAX_GRID_POINTS}")
     improvements = np.zeros(m)
     best_points = []
     d_all = point.Q.sum(axis=0)

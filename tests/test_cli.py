@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from secgame import cli
+from secgame import cli, solver
 from secgame.cli import (EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_VALIDATION,
                          EXIT_VERIFICATION, SchemaError, main, scenario_from_data,
                          scenario_to_data)
-from secgame.scenarios import SweepResult, SweepRow, experiment1
+from secgame.scenarios import SweepResult, SweepRow, SweepSpec, experiment1, run_sweep
 
 
 @pytest.fixture()
@@ -91,6 +91,34 @@ class TestSolveCommand:
         assert lines[0] == "iteration,residual,beta,r"
         assert len(lines) > 100
 
+    @pytest.mark.parametrize("section, key, value, where", [
+        ("retailer", "B", float("nan"), "model.retailers[0].B: expected a finite number"),
+        ("market", "kappa", float("inf"), "model.markets[0].kappa: expected a finite"),
+        ("initial", "u", [float("-inf"), 0.0], "initial: expected finite numbers"),
+    ])
+    def test_non_finite_number_names_the_path(self, tmp_path, capsys, section, key,
+                                              value, where):
+        data = scenario_to_data(experiment1())
+        target = {"retailer": data["model"]["retailers"][0],
+                  "market": data["model"]["markets"][0],
+                  "initial": data["initial"]}[section]
+        target[key] = value
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(data))  # writes the bare tokens NaN / Infinity
+        assert run(["solve", str(path)]) == EXIT_VALIDATION
+        assert where in capsys.readouterr().err
+
+    def test_numeric_error_maps_to_nonconvergence(self, tmp_path, capsys):
+        # Finite but huge intercepts overflow the operator sum to -inf.
+        data = scenario_to_data(experiment1())
+        for market in data["model"]["markets"]:
+            market["kappa"] = 1e308
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(data))
+        with np.errstate(over="ignore"):
+            assert run(["solve", str(path)]) == EXIT_NO_CONVERGENCE
+        assert "error: operator returned non-finite values" in capsys.readouterr().err
+
     def test_three_retailer_builtin(self, capsys):
         assert run(["solve", "exp5"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -142,18 +170,30 @@ class TestSweepCommand:
         printed = capsys.readouterr().out
         assert "crossing" in printed or "no crossing" in printed
 
+    def test_shares_sweep_of_scenario_file_refused(self, tmp_path, capsys):
+        # Shares coupling rebuilds the built-in family, which would discard
+        # this file's market-1 intercept.
+        data = scenario_to_data(experiment1())
+        data["model"]["markets"][0]["kappa"] = 500.0
+        path = tmp_path / "kappa500.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "t.csv"
+        code = run(["sweep", "--scenario", str(path), "--param", "t1", "--from", "0.70",
+                    "--to", "0.80", "--steps", "3", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "shares coupling is defined only for the built-in" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_threads_env_reproduces_cold_rows(self, tmp_path, monkeypatch):
-        argv = ["sweep", "--param", "D1", "--from", "150", "--to", "160",
-                "--steps", "3"]
-        seq = tmp_path / "seq.csv"
         par = tmp_path / "par.csv"
         # threads > 1 solves each row from the scenario's own start, which is
         # exactly what warm_start=False does sequentially
         monkeypatch.setenv("SECGAME_THREADS", "2")
-        assert run(argv + ["--out", str(par)]) == EXIT_OK
-        monkeypatch.setenv("SECGAME_THREADS", "2")
-        assert run(argv + ["--out", str(seq)]) == EXIT_OK
-        assert seq.read_bytes() == par.read_bytes()
+        assert run(["sweep", "--param", "D1", "--from", "150", "--to", "160",
+                    "--steps", "3", "--out", str(par)]) == EXIT_OK
+        spec = SweepSpec(experiment1(), "D1", 150.0, 160.0, 3)
+        cold = cli._sweep_csv_lines(run_sweep(spec, warm_start=False))
+        assert par.read_bytes() == ("\n".join(cold) + "\n").encode("utf-8")
 
     def test_builtin_sweep_reports_recorded_crossing(self, tmp_path, capsys,
                                                       monkeypatch):
@@ -193,6 +233,15 @@ class TestVerifyCommand:
         assert run(["verify", "exp1", "--grid", "30"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "certified" in out
+
+    def test_oversized_grid_is_validation_error(self, capsys, monkeypatch):
+        # 1000**3 lattice points: a missing check must fail here, not allocate.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lattice built past the point budget")
+
+        monkeypatch.setattr(solver, "_utility_grid", forbidden)
+        assert run(["verify", "exp1", "--grid", "1000"]) == EXIT_VALIDATION
+        assert "lattice points" in capsys.readouterr().err
 
     def test_sloppy_solve_fails_verification(self, tmp_path, capsys):
         data = scenario_to_data(experiment1())

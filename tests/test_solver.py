@@ -2,15 +2,18 @@
 equilibrium verifier, validated against problems with known solutions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from secgame import solver
+from secgame.model import MarketParams, ModelSpec, RetailerParams, TransactionCostParams
 from secgame.reference import (affine_vi_10d, binding_budget_model,
                                binding_budget_solution, decoupled_duopoly_model,
                                scalar_affine_vi, single_retailer_model,
                                single_retailer_solution)
-from secgame.scenarios import experiment1, experiment5
+from secgame.scenarios import apply_parameter, experiment1, experiment5
 from secgame.solver import (DegenerateDirectionError, SolverConfig, SolverNumericError,
                             best_response_solve, correct, predict, solve,
                             verify_equilibrium)
@@ -207,7 +210,7 @@ class TestSingleRetailer:
 
     def test_best_response_equals_solve_exactly(self):
         # With one retailer the single block is the whole problem, so the
-        # first sweep replays the same deterministic iteration.
+        # first sweep's exact block best response is already the equilibrium.
         problem = ViProblem(single_retailer_model())
         cfg = SolverConfig(tol=1e-10)
         direct = solve(problem, cfg)
@@ -239,6 +242,46 @@ class TestBestResponse:
         assert np.max(np.abs(b.Q - d.Q)) < 1e-4
         assert np.max(np.abs(b.u - d.u)) < 1e-4
 
+    def test_binding_budget_matches_closed_form(self):
+        problem = ViProblem(binding_budget_model())
+        report = best_response_solve(problem, SolverConfig(tol=1e-9))
+        assert report.converged
+        assert report.beta_retries == 0
+        assert np.max(np.abs(report.solution - binding_budget_solution())) <= 1e-9
+
+    def test_binding_budget_multiplier_matches_direct_solve(self):
+        scen = apply_parameter(experiment1(), "B1", 2.2)
+        problem = ViProblem(scen.model)
+        br = best_response_solve(problem, scen.config, x0=scen.x0.flat())
+        direct = solve(problem, SolverConfig(tol=1e-9, max_iter=1_000_000),
+                       x0=scen.x0.flat())
+        assert br.converged and direct.converged
+        lam_br = problem.split(br.solution).lam
+        lam_direct = problem.split(direct.solution).lam
+        assert lam_direct[0] > 1.0  # retailer 1's budget binds
+        assert np.max(np.abs(lam_br - lam_direct)) <= 1e-6
+
+    def test_runs_no_projection_contraction_step(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("best response must not run the PC iteration")
+
+        for name in ("solve", "predict", "correct"):
+            monkeypatch.setattr(solver, name, forbidden)
+        scen = experiment1()
+        report = best_response_solve(ViProblem(scen.model), scen.config,
+                                     x0=scen.x0.flat())
+        assert report.converged
+        assert report.iterations == 10
+        assert report.beta_retries == 0
+
+    def test_non_finite_operator_raises_numeric_error(self):
+        model = binding_budget_model()
+        bad = replace(model.retailers[0], D=math.nan)
+        problem = ViProblem(replace(model, retailers=(bad,)))
+        with pytest.raises(SolverNumericError) as err:
+            best_response_solve(problem)
+        assert err.value.iteration == 0
+
     def test_sweep_cap_reports_unconverged(self):
         scen = experiment1()
         problem = ViProblem(scen.model)
@@ -267,6 +310,22 @@ class TestVerifyEquilibrium:
         audit = verify_equilibrium(scen.model, point, grid_density=40)
         assert audit.improvements[0] > 1e-2
         assert not audit.certified
+
+    def test_oversized_lattice_refused_before_allocation(self, monkeypatch):
+        # n = 5 at density 50 is 50**6 = 1.6e10 points per retailer.
+        market = MarketParams(alpha=-2.0, gamma=0.0, kappa=40.0)
+        cost = TransactionCostParams(a=1.0, b=2.0, s=1.0)
+        retailer = RetailerParams(c=4.0, B=2.0, D=0.0, t=0.5, mu=0.0, costs=(cost,) * 5)
+        model = ModelSpec(m=1, n=5, retailers=(retailer,), markets=(market,) * 5)
+        point = DecisionVector(np.zeros((1, 5)), np.zeros(1), np.zeros(1))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lattice arrays built before the point budget check")
+
+        monkeypatch.setattr(solver, "_grid_axes", forbidden)
+        monkeypatch.setattr(solver, "_utility_grid", forbidden)
+        with pytest.raises(ValueError, match="lattice points"):
+            verify_equilibrium(model, point, grid_density=50)
 
     def test_grid_density_validation(self):
         model = single_retailer_model()
