@@ -10,8 +10,7 @@ from .scenarios import (REFERENCE_TARGETS, Scenario, SweepResult, SweepSpec,
                         find_crossing, run_sweep, scenario_by_name, solve_scenario)
 from .solver import (SolverConfig, SolverReport, best_response_solve, solve,
                      verify_equilibrium)
-from .vi import (U_CAP, BoxVi, DecisionVector, ViProblem, assemble_operator, fd_check,
-                 fd_check_random, natural_residual, project)
+from .vi import U_CAP, BoxVi, DecisionVector, ViProblem, fd_check, fd_check_random
 
 __version__ = "0.1.0"
 
@@ -24,6 +23,5 @@ __all__ = [
     "scenario_by_name", "solve_scenario",
     "SolverConfig", "SolverReport", "best_response_solve", "solve",
     "verify_equilibrium",
-    "U_CAP", "BoxVi", "DecisionVector", "ViProblem", "assemble_operator", "fd_check",
-    "fd_check_random", "natural_residual", "project",
+    "U_CAP", "BoxVi", "DecisionVector", "ViProblem", "fd_check", "fd_check_random",
 ]

@@ -7,8 +7,7 @@ stopped by a non-finite operator value), 3 validation error, 4 verification
 failure.  Sweep CSV columns are
 param,u_1..u_m,Q_1_1..Q_m_n,lambda_1..lambda_m,EU_1..EU_m,residual,iters,converged
 with full-precision decimal numbers; identical invocations produce
-byte-identical files.  SECGAME_THREADS caps sweep parallelism (default 1,
-which keeps warm starting on).
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -95,9 +94,11 @@ def scenario_from_data(data, name="scenario"):
         for j, cdata in enumerate(_array(rdata["costs"], f"{rpath}.costs")):
             cpath = f"{rpath}.costs[{j}]"
             _check_keys(cdata, cpath, required=("a", "b", "s"))
-            costs.append(TransactionCostParams(a=_number(cdata["a"], f"{cpath}.a"),
-                                               b=_number(cdata["b"], f"{cpath}.b"),
-                                               s=_number(cdata["s"], f"{cpath}.s")))
+            fields = {key: _number(cdata[key], f"{cpath}.{key}") for key in ("a", "b", "s")}
+            try:
+                costs.append(TransactionCostParams(**fields))
+            except ValueError as exc:
+                raise SchemaError(cpath, str(exc)) from exc
         fields = {key: _number(rdata[key], f"{rpath}.{key}")
                   for key in ("c", "B", "D", "t", "mu")}
         try:
@@ -141,7 +142,7 @@ def scenario_from_data(data, name="scenario"):
                                 np.array(idata["lambda"], dtype=float))
         except (TypeError, ValueError) as exc:
             raise SchemaError(ipath, str(exc)) from exc
-        if not np.all(np.isfinite(x0.flat())):
+        if not all(np.all(np.isfinite(v)) for v in (x0.Q, x0.u, x0.lam)):
             raise SchemaError(ipath, "expected finite numbers")
     else:
         x0 = DecisionVector(np.ones((m, n)), np.zeros(m), np.zeros(m))
@@ -321,8 +322,7 @@ def cmd_sweep(args):
         except ValueError as exc:
             raise SchemaError("sweep", str(exc)) from exc
 
-    threads = max(1, int(os.environ.get("SECGAME_THREADS", "1")))
-    result = run_sweep(spec, threads=threads)
+    result = run_sweep(spec)
     lines = _sweep_csv_lines(result)
     if args.out:
         _write_lines(args.out, lines)

@@ -11,6 +11,7 @@ and safe to share across concurrent solves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -78,6 +79,13 @@ def attack_probability(u_x, u_bar, mu):
     return (1.0 - u_x) * (1.0 - u_bar) * mu
 
 
+def _require_finite(params, names):
+    """Reject NaN and +-inf, which pass every ordered comparison test."""
+    for name in names:
+        if not math.isfinite(getattr(params, name)):
+            raise ValueError(f"{name} must be a finite number")
+
+
 @dataclass(frozen=True)
 class TransactionCostParams:
     """Quadratic trading cost (a*q**2 + b*q) * s for one retailer-market pair."""
@@ -87,6 +95,7 @@ class TransactionCostParams:
     s: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self, ("a", "b", "s"))
         if self.a < 0.0:
             raise ValueError("quadratic coefficient a must be nonnegative")
         if self.s <= 0.0:
@@ -108,6 +117,7 @@ class MarketParams:
     kappa: float
 
     def __post_init__(self):
+        _require_finite(self, ("alpha", "gamma", "kappa"))
         if self.alpha >= 0.0:
             raise ValueError("demand slope alpha must be negative")
         if self.kappa <= 0.0:
@@ -118,7 +128,12 @@ class MarketParams:
 class RetailerParams:
     """One retailer: handling cost c, security budget B, attack loss D,
     market share t, attack multiplier mu, and one TransactionCostParams
-    per market."""
+    per market.
+
+    The share t is metadata: no model function reads it.  The built-in
+    scenario family derives the other fields from it, and share sweeps
+    rebuild them from it.
+    """
 
     c: float
     B: float
@@ -129,6 +144,7 @@ class RetailerParams:
 
     def __post_init__(self):
         object.__setattr__(self, "costs", tuple(self.costs))
+        _require_finite(self, ("c", "B", "D", "t", "mu"))
         if self.B <= 0.0:
             raise ValueError("budget B must be positive")
         if self.D < 0.0:
@@ -170,6 +186,7 @@ class ModelSpec:
         for x, r in enumerate(self.retailers):
             if len(r.costs) != self.n:
                 raise ValueError(f"retailer {x + 1} needs {self.n} transaction cost entries")
+        _require_finite(self, ("q_upper",))
         if self.q_upper <= 0.0:
             raise ValueError("q_upper must be positive")
 

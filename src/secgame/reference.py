@@ -65,7 +65,7 @@ def single_retailer_model():
 
 
 def single_retailer_solution():
-    """Closed-form equilibrium of single_retailer_model.
+    """Closed-form equilibrium (Q*, u*, lambda*) of single_retailer_model.
 
     With no loss (D = 0) and no security price effect (gamma = 0) the level
     and multiplier are 0 and Q solves c + 2a s Q + b s = alpha Q + kappa
@@ -84,11 +84,11 @@ def binding_budget_model():
 
 
 def binding_budget_solution():
-    """Closed-form constrained optimum of binding_budget_model.
+    """Closed-form constrained optimum (Q*, u*, lambda*) of binding_budget_model.
 
     The budget pins u* = 1 - exp(-B); Q* then solves the shipment
     stationarity condition at that level, and the multiplier follows from
-    the level stationarity condition:
+    the KKT level condition:
     lambda* = (1 - u*) (2 D mu (1 - u*) + gamma Q*) - 1.
     """
     model = binding_budget_model()

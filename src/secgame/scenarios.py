@@ -13,7 +13,6 @@ where possible and reported as unreconciled otherwise.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -170,10 +169,9 @@ class SweepSpec:
 
 
 # Sweeps mirror the sensitivity experiments: budget, attack loss and market
-# share of retailer 1.  The tight tolerance keeps budget feasibility and
-# complementary slackness inside their audited bounds even on rows where the
-# budget constraint binds; such rows converge slowly, hence the higher
-# iteration cap.
+# share of retailer 1.  The tight tolerance keeps complementary slackness of
+# the recovered multipliers inside its audited bound on rows where the budget
+# binds; the higher iteration cap leaves room for slowly converging rows.
 _SWEEP_CONFIG = SolverConfig(tol=1e-9, max_iter=1_000_000)
 
 
@@ -295,47 +293,33 @@ def solve_scenario(scenario: Scenario, record_trace=False):
     return problem, report
 
 
-def _row_from_report(scenario, value, report):
-    point = DecisionVector.from_flat(report.solution, scenario.model.m,
-                                     scenario.model.n)
-    eu = np.array([scenario.model.expected_utility(x, point.Q, point.u)
-                   for x in range(scenario.model.m)])
+def _row_from_report(problem, value, report):
+    point = problem.split(report.solution)
+    model = problem.model
+    eu = np.array([model.expected_utility(x, point.Q, point.u) for x in range(model.m)])
     return SweepRow(float(value), point.u, point.Q, point.lam, eu,
                     report.final_residual, report.iterations, report.converged)
 
 
-def run_sweep(spec: SweepSpec, warm_start=True, threads=1):
+def run_sweep(spec: SweepSpec, warm_start=True):
     """Solve the scenario at every grid value of the swept parameter.
 
     Rows are produced for every grid point even when a solve fails to
     converge (the row is flagged).  With warm_start (the default) each row
-    starts from the previous row's solution and execution is sequential;
-    threads > 1 solves rows independently in a pool, each from the
-    scenario's own initial point.  Row order always follows the grid.
+    starts from the previous converged row's solution; otherwise every row
+    starts from the scenario's own initial point.  Row order follows the
+    grid.
     """
-    grid = spec.grid()
-
-    def solve_at(value, x0):
+    rows = []
+    prev = None
+    for value in spec.grid():
         scen = apply_parameter(spec.scenario, spec.param, float(value), spec.coupling)
         problem = ViProblem(scen.model)
-        start = problem.project(x0) if x0 is not None else scen.x0.flat()
+        start = problem.project(prev) if prev is not None else scen.x0.flat()
         report = solve(problem, scen.config, x0=start)
-        return scen, report
-
-    rows = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(solve_at, v, None) for v in grid]
-            for value, fut in zip(grid, futures):
-                scen, report = fut.result()
-                rows.append(_row_from_report(scen, value, report))
-    else:
-        prev = None
-        for value in grid:
-            scen, report = solve_at(value, prev if warm_start else None)
-            rows.append(_row_from_report(scen, value, report))
-            if report.converged:
-                prev = report.solution
+        rows.append(_row_from_report(problem, value, report))
+        if warm_start and report.converged:
+            prev = report.solution
     return SweepResult(spec, rows)
 
 

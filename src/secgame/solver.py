@@ -11,9 +11,8 @@ Also provides a Gauss-Seidel best-response driver and a grid-search
 equilibrium verifier, both used as independent cross-checks of the main
 solve.  The best-response driver runs no projection-contraction step: with
 rivals frozen, each retailer's shipments solve affine first-order conditions
-in closed form, its level is the root of a strictly increasing stationarity
-condition found by bisection under the budget bound, and its multiplier
-follows from the KKT conditions.
+in closed form and its level is the root of a strictly increasing
+stationarity condition found by bisection under the budget bound.
 """
 
 from __future__ import annotations
@@ -208,20 +207,18 @@ _BISECTION_STEPS = 60
 def _block_best_response(problem: ViProblem, x, x_idx):
     """Retailer x_idx's exact best response to its rivals frozen in ``x``.
 
-    Returns a copy of ``x`` with the (Q row, u, lambda) block replaced.
+    Returns a copy of ``x`` with the (Q row, u) block replaced.
     Shipments: F1[x, y] is affine in Q[x, y] alone with slope 2as - 2alpha,
     positive under the model validators (alpha < 0, a >= 0, s > 0), so one
     clipped Newton step from one operator evaluation solves each market.
-    Level: with lambda = 0, F2[x] strictly increases in u_x (slope
-    1/(1-u)^2 + 2DM/m >= 1), so bisection on [0, min(U_CAP, 1 - e^-B)] finds
-    its root; the budget is a plain bound here.  Multiplier: zero unless u_x
-    sits on the budget bound, where KKT gives lambda = -(1-u) F2|lambda=0.
+    Level: F2[x] strictly increases in u_x (slope 1/(1-u)^2 + 2DM/m >= 1),
+    so bisection on [0, upper bound of u_x] finds its root; the bound is
+    the budget cap min(U_CAP, 1 - e^-B).
     """
     model = problem.model
-    m, n = model.m, model.n
+    n = model.n
     q = slice(x_idx * n, (x_idx + 1) * n)
-    iu = m * n + x_idx
-    il = iu + m
+    iu = model.m * n + x_idx
 
     def operator(z):
         fz = problem.operator(z)
@@ -232,14 +229,12 @@ def _block_best_response(problem: ViProblem, x, x_idx):
     slope = 2.0 * model.cost_a[x_idx] * model.cost_s[x_idx] - 2.0 * model.alpha_vec
     z = x.copy()
     z[q] = np.clip(z[q] - operator(z)[q] / slope, 0.0, model.q_upper)
-    z[il] = 0.0
 
     def f2(u):
         z[iu] = u
         return float(operator(z)[iu])
 
-    u_budget = -math.expm1(-model.retailers[x_idx].B)
-    u_cap = min(U_CAP, u_budget)
+    u_cap = float(problem.upper[iu])
     if f2(0.0) >= 0.0:
         u = 0.0
     elif f2(u_cap) <= 0.0:
@@ -253,7 +248,6 @@ def _block_best_response(problem: ViProblem, x, x_idx):
             else:
                 hi = mid
         u = 0.5 * (lo + hi)
-    z[il] = max(0.0, -(1.0 - u) * f2(u)) if u >= u_budget else 0.0
     z[iu] = u
     return z
 
@@ -261,16 +255,15 @@ def _block_best_response(problem: ViProblem, x, x_idx):
 def best_response_solve(problem: ViProblem, config=None, x0=None, max_sweeps=1000):
     """Gauss-Seidel best-response iteration over retailer blocks.
 
-    Each sweep replaces every retailer's (Q row, u, lambda) block, in order,
-    by its exact best response to the current rival values (closed-form
-    shipments, bisection on the level, KKT multiplier); no projection-
-    contraction iteration runs, so the result is an independent check of
-    ``solve``.  Sweeps repeat until the largest block change is at most
-    config.tol.  The report counts sweeps in ``iterations`` and the last
-    sweep's maximum block change in ``final_residual``; ``beta_retries`` is
-    always 0.  If the change metric reaches no new minimum over 50
-    consecutive sweeps the run is flagged as cycling and reported
-    unconverged.
+    Each sweep replaces every retailer's (Q row, u) block, in order, by its
+    exact best response to the current rival values (closed-form shipments,
+    bisection on the level); no projection-contraction iteration runs, so
+    the result is an independent check of ``solve``.  Sweeps repeat until the
+    largest block change is at most config.tol.  The report counts sweeps in
+    ``iterations`` and the last sweep's maximum block change in
+    ``final_residual``; ``beta_retries`` is always 0.  If the change metric
+    reaches no new minimum over 50 consecutive sweeps the run is flagged as
+    cycling and reported unconverged.
     """
     if config is None:
         config = SolverConfig()

@@ -2,16 +2,17 @@
 
 The simultaneous first-order conditions of all retailers are encoded as the
 VI: find X* in the box K with F(X*)^T (X - X*) >= 0 for every feasible X,
-where X stacks (Q row-major, then u, then lambda) and F stacks
+where X stacks (Q row-major, then u) and F stacks
 
 * F1[x, y]  -- marginal cost minus marginal revenue of shipping Q[x, y],
-* F2[x]     -- marginal investment cost minus marginal security benefit,
-                plus the multiplier pressure lambda / (1 - u),
-* F3[x]     -- B + ln(1 - u), the negated budget gap, so that the projected
-                multiplier update raises lambda while the budget is violated.
+* F2[x]     -- marginal investment cost minus marginal security benefit.
 
-The flattened ordering is fixed so iterate traces are comparable across
-implementations.
+The budget -ln(1 - u_x) <= B_x is the plain bound u_x <= 1 - exp(-B_x), so
+it is part of the box rather than a dualized constraint.  Its multiplier
+follows from the KKT conditions of the solution, lambda_x =
+max(0, -(1 - u_x) F2[x]), and ViProblem.split recovers it; the solution set
+is that of the dualized formulation.  The flattened ordering is fixed so
+iterate traces are comparable across implementations.
 """
 
 from __future__ import annotations
@@ -20,31 +21,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, budget_gap
+from .model import ModelSpec
 
 __all__ = [
     "U_CAP",
     "DecisionVector",
     "BoxVi",
     "ViProblem",
-    "assemble_operator",
-    "project",
-    "natural_residual",
     "fd_check",
     "fd_check_random",
     "FdCheckReport",
 ]
 
-# Hard cap on u strictly below 1 so -ln(1-u) stays finite; the budget itself
-# is enforced through the multiplier dynamics, not through this bound.
+# Hard cap on u strictly below 1 so -ln(1-u) stays finite; budgets above
+# -ln(1 - U_CAP) ~ 13.8 leave it as the binding upper bound.
 U_CAP = 0.999999
 
 
 @dataclass
 class DecisionVector:
-    """Stacked decision variables (Q, u, lambda) of all retailers.
+    """Decision variables (Q, u) of all retailers and the budget multipliers.
 
-    Flat layout: all of Q row-major, then u, then lambda.
+    Flat layout: all of Q row-major, then u.  The multipliers lambda are not
+    VI coordinates; ViProblem.split recovers them from the KKT conditions.
     """
 
     Q: np.ndarray
@@ -68,15 +67,7 @@ class DecisionVector:
         return self.Q.shape[1]
 
     def flat(self):
-        return np.concatenate([self.Q.ravel(), self.u, self.lam])
-
-    @classmethod
-    def from_flat(cls, x, m, n):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (m * n + 2 * m,):
-            raise ValueError(f"expected flat vector of length {m * n + 2 * m}")
-        return cls(x[: m * n].reshape(m, n).copy(), x[m * n : m * n + m].copy(),
-                   x[m * n + m :].copy())
+        return np.concatenate([self.Q.ravel(), self.u])
 
     def copy(self):
         return DecisionVector(self.Q.copy(), self.u.copy(), self.lam.copy())
@@ -124,10 +115,10 @@ class BoxVi:
 
 
 class ViProblem(BoxVi):
-    """The game VI: operator F(Q, u, lambda) plus the feasible box.
+    """The game VI: operator F(Q, u) plus the feasible box.
 
-    Box: Q in [0, q_upper], u in [0, U_CAP], lambda in [0, inf).
-    Dimension m*n + 2m.
+    Box: Q in [0, q_upper], u in [0, min(U_CAP, 1 - exp(-B))].
+    Dimension m*n + m.
     """
 
     def __init__(self, model: ModelSpec):
@@ -135,11 +126,10 @@ class ViProblem(BoxVi):
         m, n = model.m, model.n
         self._m, self._n = m, n
         self._mn = m * n
-        lower = np.zeros(m * n + 2 * m)
+        lower = np.zeros(m * n + m)
         upper = np.concatenate([
             np.full(m * n, model.q_upper),
-            np.full(m, U_CAP),
-            np.full(m, np.inf),
+            np.minimum(U_CAP, -np.expm1(-model.B_vec)),
         ])
         super().__init__(self._assemble, lower, upper)
         # Pre-fused parameter arrays for the hot path: F1 collapses to
@@ -153,58 +143,46 @@ class ViProblem(BoxVi):
         M = model.mu_vec if model.loss_gradient_includes_multiplier else np.ones(m)
         self._DM = model.D_vec * M
         self._DM_over_m = self._DM / m
-        self._B = model.B_vec
 
     def _assemble(self, x):
         m, n, mn = self._m, self._n, self._mn
         Q = x[:mn].reshape(m, n)
-        u = x[mn : mn + m]
-        lam = x[mn + m :]
+        u = x[mn:]
         v = 1.0 - u
         if v.min() <= 0.0:
             raise ValueError("operator undefined at security level >= 1")
         d = Q.sum(axis=0)
         ubar = u.sum() / m
         rho = self._alpha * d + self._gamma * ubar + self._kappa
-        out = np.empty(mn + 2 * m)
+        out = np.empty(mn + m)
         f1 = out[:mn].reshape(m, n)
         np.multiply(self._quad_coef, Q, out=f1)
         f1 += self._f1_const
         f1 -= rho
-        out[mn : mn + m] = ((1.0 + lam) / v - self._DM * (1.0 - ubar)
-                            - self._DM_over_m * v - Q @ self._gamma_over_m)
-        out[mn + m :] = self._B + np.log(v)
+        out[mn:] = (1.0 / v - self._DM * (1.0 - ubar)
+                    - self._DM_over_m * v - Q @ self._gamma_over_m)
         return out
 
     def split(self, x):
-        """View a flat vector as a DecisionVector."""
-        return DecisionVector.from_flat(x, self._m, self._n)
+        """View a flat (Q, u) point as a DecisionVector with its multipliers.
+
+        lambda_x = max(0, -(1 - u_x) F2[x]) is the budget multiplier the KKT
+        conditions assign at a solution: zero where the level condition
+        holds, positive where the budget bound holds the level down.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"expected flat vector of length {self.dim}")
+        m, n, mn = self._m, self._n, self._mn
+        u = x[mn:].copy()
+        lam = np.maximum(0.0, -(1.0 - u) * self.operator(x)[mn:])
+        return DecisionVector(x[:mn].reshape(m, n).copy(), u, lam)
 
     def default_start(self):
-        """Conventional initial point: all quantities 1, levels and multipliers 0."""
+        """Conventional initial point: all quantities 1, levels 0."""
         x0 = np.zeros(self.dim)
         x0[: self._mn] = 1.0
         return self.project(x0)
-
-    def own_block_lagrangian(self, x_idx, Q, u, lam_x):
-        """Retailer x_idx objective for the oracle: -E(U) + lambda * budget gap."""
-        return (-self.model.expected_utility(x_idx, Q, u)
-                + lam_x * budget_gap(u[x_idx], self.model.retailers[x_idx].B))
-
-
-def assemble_operator(problem, x):
-    """Evaluate the stacked operator F at a flat point x."""
-    return problem.operator(np.asarray(x, dtype=float))
-
-
-def project(problem, x):
-    """Clamp a flat point onto the problem's box."""
-    return problem.project(x)
-
-
-def natural_residual(problem, x):
-    """Sup-norm natural residual of the VI at a flat feasible point."""
-    return problem.natural_residual(x)
 
 
 @dataclass
@@ -230,46 +208,44 @@ def fd_check(problem: ViProblem, x, step=1e-5):
     """Check F1 and F2 against central differences of each retailer's objective.
 
     Each retailer is differentiated in its own (Q row, u) block with rivals
-    frozen; the oracle evaluates -expected_utility + lambda * budget_gap from
-    the model's value functions, so it shares no code with the operator
-    assembly.  Relative errors use the denominator max(1, |F|, |fd|).
+    frozen; the oracle evaluates -expected_utility from the model's value
+    functions, so it shares no code with the operator assembly.  Relative
+    errors use the denominator max(1, |F|, |fd|).
     """
     if not 1e-7 <= step <= 1e-4:
         raise ValueError("step must lie in [1e-7, 1e-4]")
     x = np.asarray(x, dtype=float)
     m, n, mn = problem._m, problem._n, problem._mn
     margin = 2.0 * step
-    qu = x[: mn + m]
-    lo, hi = problem.lower[: mn + m], problem.upper[: mn + m]
-    if np.any(qu < lo + margin) or np.any(qu > hi - margin):
+    if np.any(x < problem.lower + margin) or np.any(x > problem.upper - margin):
         raise ValueError("point too close to a bound for central differencing")
 
     F = problem.operator(x)
     F1 = F[:mn].reshape(m, n)
-    F2 = F[mn : mn + m]
+    F2 = F[mn:]
     Q = x[:mn].reshape(m, n)
-    u = x[mn : mn + m]
-    lam = x[mn + m :]
+    u = x[mn:]
+    eu = problem.model.expected_utility
 
     q_err = np.zeros((m, n))
     u_err = np.zeros(m)
     for xi in range(m):
         for y in range(n):
-            def lag_q(delta, xi=xi, y=y):
+            def obj_q(delta, xi=xi, y=y):
                 Qp = Q.copy()
                 Qp[xi, y] += delta
-                return problem.own_block_lagrangian(xi, Qp, u, lam[xi])
+                return -eu(xi, Qp, u)
 
-            fd = _central_diff(lag_q, step)
+            fd = _central_diff(obj_q, step)
             denom = max(1.0, abs(F1[xi, y]), abs(fd))
             q_err[xi, y] = abs(F1[xi, y] - fd) / denom
 
-        def lag_u(delta, xi=xi):
+        def obj_u(delta, xi=xi):
             up = u.copy()
             up[xi] += delta
-            return problem.own_block_lagrangian(xi, Q, up, lam[xi])
+            return -eu(xi, Q, up)
 
-        fd = _central_diff(lag_u, step)
+        fd = _central_diff(obj_u, step)
         denom = max(1.0, abs(F2[xi]), abs(fd))
         u_err[xi] = abs(F2[xi] - fd) / denom
 
@@ -285,21 +261,22 @@ def fd_check(problem: ViProblem, x, step=1e-5):
 def fd_check_random(problem: ViProblem, points=100, step=1e-5, seed=0):
     """Run fd_check at ``points`` interior samples; return the worst report.
 
-    Samples stay away from the u singularity (u <= 0.9) and the box faces so
-    the finite-difference truncation error itself stays well below the
-    tolerances being checked.
+    Samples stay away from the u singularity (u <= 0.9), the budget bound and
+    the box faces so the finite-difference truncation error itself stays
+    well below the tolerances being checked.
     """
     if points < 1:
         raise ValueError("points must be positive")
     rng = np.random.default_rng(seed)
-    m, n = problem._m, problem._n
+    m, n, mn = problem._m, problem._n, problem._mn
     q_hi = problem.model.q_upper
+    u_hi = np.minimum(0.9, problem.upper[mn:] - 2.0 * step)
+    u_lo = np.minimum(0.02, 0.5 * u_hi)
     worst = None
     for _ in range(points):
         Q = rng.uniform(0.01 * q_hi, 0.99 * q_hi, size=(m, n))
-        u = rng.uniform(0.02, 0.9, size=m)
-        lam = rng.uniform(0.05, 2.0, size=m)
-        rep = fd_check(problem, DecisionVector(Q, u, lam).flat(), step=step)
+        u = rng.uniform(u_lo, u_hi, size=m)
+        rep = fd_check(problem, np.concatenate([Q.ravel(), u]), step=step)
         if worst is None or rep.max_rel_error > worst.max_rel_error:
             worst = rep
     return worst

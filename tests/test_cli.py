@@ -9,7 +9,7 @@ from secgame import cli, solver
 from secgame.cli import (EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_VALIDATION,
                          EXIT_VERIFICATION, SchemaError, main, scenario_from_data,
                          scenario_to_data)
-from secgame.scenarios import SweepResult, SweepRow, SweepSpec, experiment1, run_sweep
+from secgame.scenarios import SweepResult, SweepRow, experiment1
 
 
 @pytest.fixture()
@@ -95,6 +95,7 @@ class TestSolveCommand:
         ("retailer", "B", float("nan"), "model.retailers[0].B: expected a finite number"),
         ("market", "kappa", float("inf"), "model.markets[0].kappa: expected a finite"),
         ("initial", "u", [float("-inf"), 0.0], "initial: expected finite numbers"),
+        ("initial", "lambda", [float("nan"), 0.0], "initial: expected finite numbers"),
     ])
     def test_non_finite_number_names_the_path(self, tmp_path, capsys, section, key,
                                               value, where):
@@ -107,6 +108,16 @@ class TestSolveCommand:
         path.write_text(json.dumps(data))  # writes the bare tokens NaN / Infinity
         assert run(["solve", str(path)]) == EXIT_VALIDATION
         assert where in capsys.readouterr().err
+
+    def test_invalid_cost_names_the_path(self, tmp_path, capsys):
+        data = scenario_to_data(experiment1())
+        data["model"]["retailers"][0]["costs"][0]["a"] = -1.0
+        path = tmp_path / "badcost.json"
+        path.write_text(json.dumps(data))
+        assert run(["solve", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "model.retailers[0].costs[0]" in err
+        assert "quadratic coefficient a must be nonnegative" in err
 
     def test_numeric_error_maps_to_nonconvergence(self, tmp_path, capsys):
         # Finite but huge intercepts overflow the operator sum to -inf.
@@ -184,21 +195,10 @@ class TestSweepCommand:
         assert "shares coupling is defined only for the built-in" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_threads_env_reproduces_cold_rows(self, tmp_path, monkeypatch):
-        par = tmp_path / "par.csv"
-        # threads > 1 solves each row from the scenario's own start, which is
-        # exactly what warm_start=False does sequentially
-        monkeypatch.setenv("SECGAME_THREADS", "2")
-        assert run(["sweep", "--param", "D1", "--from", "150", "--to", "160",
-                    "--steps", "3", "--out", str(par)]) == EXIT_OK
-        spec = SweepSpec(experiment1(), "D1", 150.0, 160.0, 3)
-        cold = cli._sweep_csv_lines(run_sweep(spec, warm_start=False))
-        assert par.read_bytes() == ("\n".join(cold) + "\n").encode("utf-8")
-
     def test_builtin_sweep_reports_recorded_crossing(self, tmp_path, capsys,
                                                       monkeypatch):
         # Stand in for the 81-row exp3 solve with a one-sided level series.
-        def fake_run_sweep(spec, threads=1):
+        def fake_run_sweep(spec):
             rows = [SweepRow(v, np.array([0.96, 0.95]), np.ones((2, 2)),
                              np.zeros(2), np.zeros(2), 1e-10, 5, True)
                     for v in (120.0, 200.0)]

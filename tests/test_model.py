@@ -1,6 +1,7 @@
 """Unit tests for the economic model primitives."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -278,6 +279,23 @@ class TestValidation:
             TransactionCostParams(a=-1.0, b=0.0, s=1.0)
         with pytest.raises(ValueError):
             TransactionCostParams(a=1.0, b=0.0, s=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # NaN passes every ordered comparison, so each field needs the check.
+        base = experiment1().model
+        r, mk, tc = base.retailers[0], base.markets[0], base.retailers[0].costs[0]
+        for field in ("c", "B", "D", "t", "mu"):
+            with pytest.raises(ValueError, match="finite"):
+                replace(r, **{field: bad})
+        for field in ("alpha", "gamma", "kappa"):
+            with pytest.raises(ValueError, match="finite"):
+                replace(mk, **{field: bad})
+        for field in ("a", "b", "s"):
+            with pytest.raises(ValueError, match="finite"):
+                replace(tc, **{field: bad})
+        with pytest.raises(ValueError, match="finite"):
+            replace(base, q_upper=bad)
 
 
 @settings(deadline=None, max_examples=25)

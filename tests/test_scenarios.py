@@ -92,6 +92,7 @@ class TestRoundTrip:
         back = scenario_from_data(data, name=name)
         assert back.model == scen.model
         assert np.array_equal(back.x0.flat(), scen.x0.flat())
+        assert np.array_equal(back.x0.lam, scen.x0.lam)
         assert back.config == scen.config
 
 
@@ -176,13 +177,13 @@ class TestRunSweep:
             assert np.max(np.abs(rw.u - rc.u)) < 1e-6
             assert np.max(np.abs(rw.Q - rc.Q)) < 1e-4
 
-    def test_threaded_rows_match_sequential_cold(self):
-        spec = SweepSpec(experiment1(), "D1", 150.0, 170.0, 3)
-        cold = run_sweep(spec, warm_start=False)
-        par = run_sweep(spec, threads=2)
-        for rc, rp in zip(cold.rows, par.rows):
-            assert np.array_equal(rc.u, rp.u)
-            assert np.array_equal(rc.Q, rp.Q)
+    def test_budget_sweep_iteration_count(self):
+        # Iteration counts are deterministic, so they gate the cost of the
+        # budget-binding rows: the 31 rows take 59 500 iterations.
+        result = run_sweep(builtin_sweep("exp2"))
+        assert len(result.rows) == 31
+        assert all(r.converged for r in result.rows)
+        assert sum(r.iterations for r in result.rows) <= 100_000
 
     def test_rows_flagged_when_not_converged(self):
         base = experiment1()

@@ -6,9 +6,8 @@ from dataclasses import replace
 
 from secgame.model import MarketParams, ModelSpec, RetailerParams, TransactionCostParams
 from secgame.scenarios import experiment1, experiment5
-from secgame.vi import (U_CAP, BoxVi, DecisionVector, FdCheckReport, ViProblem,
-                        assemble_operator, fd_check, fd_check_random, natural_residual,
-                        project)
+from secgame.vi import (U_CAP, BoxVi, DecisionVector, FdCheckReport, ViProblem, fd_check,
+                        fd_check_random)
 
 
 @pytest.fixture(scope="module")
@@ -29,68 +28,78 @@ def degenerate_linear_model():
 
 
 class TestDecisionVector:
-    def test_flat_ordering_is_q_rowmajor_then_u_then_lambda(self):
+    def test_flat_ordering_is_q_rowmajor_then_u(self):
+        # The multipliers are not VI coordinates and stay out of the flat form.
         dv = DecisionVector(np.array([[1.0, 2.0], [3.0, 4.0]]),
                             np.array([0.5, 0.6]), np.array([7.0, 8.0]))
-        assert np.array_equal(dv.flat(), [1, 2, 3, 4, 0.5, 0.6, 7, 8])
+        assert np.array_equal(dv.flat(), [1, 2, 3, 4, 0.5, 0.6])
 
-    def test_round_trip(self):
-        x = np.arange(8.0)
-        dv = DecisionVector.from_flat(x, 2, 2)
+    def test_round_trip(self, exp1_problem):
+        x = np.array([0.0, 1.0, 2.0, 3.0, 0.4, 0.5])
+        dv = exp1_problem.split(x)
+        assert np.array_equal(dv.Q, [[0.0, 1.0], [2.0, 3.0]])
         assert np.array_equal(dv.flat(), x)
 
-    def test_shape_mismatch(self):
+    def test_shape_mismatch(self, exp1_problem):
         with pytest.raises(ValueError):
             DecisionVector(np.zeros((2, 2)), np.zeros(3), np.zeros(2))
         with pytest.raises(ValueError):
-            DecisionVector.from_flat(np.zeros(7), 2, 2)
+            DecisionVector(np.zeros((2, 2)), np.zeros(2), np.zeros(3))
+        with pytest.raises(ValueError):
+            exp1_problem.split(np.zeros(7))
 
 
 class TestProblemShape:
     def test_dimension_and_bounds(self, exp1_problem):
+        # The budget -ln(1 - u) <= B is the bound u <= 1 - exp(-B).
         p = exp1_problem
-        assert p.dim == 2 * 2 + 2 * 2
+        assert p.dim == 2 * 2 + 2
         assert np.all(p.lower == 0.0)
         assert np.all(p.upper[:4] == 100.0)
-        assert np.all(p.upper[4:6] == U_CAP)
-        assert np.all(np.isinf(p.upper[6:]))
+        assert np.array_equal(p.upper[4:], np.minimum(U_CAP, -np.expm1(-np.array([5.28, 3.72]))))
+        assert np.all(np.isfinite(p.upper))
+
+    def test_large_budget_leaves_level_cap(self):
+        model = experiment1().model
+        rich = replace(model.retailers[0], B=20.0)
+        p = ViProblem(replace(model, retailers=(rich, model.retailers[1])))
+        assert p.upper[4] == U_CAP
 
 
 class TestProject:
     def test_identity_on_feasible(self, exp1_problem):
         x = exp1_problem.default_start()
-        assert np.array_equal(project(exp1_problem, x), x)
+        assert np.array_equal(exp1_problem.project(x), x)
 
     def test_clamps(self, exp1_problem):
-        x = np.array([-5.0, 250.0, 1.0, 1.0, -0.2, 2.0, -0.3, 5.0])
-        out = project(exp1_problem, x)
+        x = np.array([-5.0, 250.0, 1.0, 1.0, -0.2, 2.0])
+        out = exp1_problem.project(x)
         assert out[0] == 0.0
         assert out[1] == 100.0
+        assert out[2] == 1.0
         assert out[4] == 0.0
-        assert out[5] == U_CAP
-        assert out[6] == 0.0
-        assert out[7] == 5.0
+        assert out[5] == -np.expm1(-3.72)  # retailer 2's budget bound
 
     def test_idempotent_and_monotone(self, exp1_problem):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            a = rng.uniform(-50, 150, size=8)
-            b = a + rng.uniform(0, 10, size=8)
-            pa, pb = project(exp1_problem, a), project(exp1_problem, b)
-            assert np.array_equal(project(exp1_problem, pa), pa)
+            a = rng.uniform(-50, 150, size=6)
+            b = a + rng.uniform(0, 10, size=6)
+            pa, pb = exp1_problem.project(a), exp1_problem.project(b)
+            assert np.array_equal(exp1_problem.project(pa), pa)
             assert np.all(pa <= pb)
 
     def test_nonexpansive_on_random_pairs(self, exp1_problem):
         rng = np.random.default_rng(5)
         for _ in range(1000):
-            a = rng.uniform(-100, 200, size=8)
-            b = rng.uniform(-100, 200, size=8)
-            pa, pb = project(exp1_problem, a), project(exp1_problem, b)
+            a = rng.uniform(-100, 200, size=6)
+            b = rng.uniform(-100, 200, size=6)
+            pa, pb = exp1_problem.project(a), exp1_problem.project(b)
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
     def test_dimension_mismatch(self, exp1_problem):
         with pytest.raises(ValueError):
-            project(exp1_problem, np.zeros(5))
+            exp1_problem.project(np.zeros(5))
 
 
 class TestOperator:
@@ -98,7 +107,7 @@ class TestOperator:
         model = degenerate_linear_model()
         problem = ViProblem(model)
         x = DecisionVector(np.ones((2, 2)), np.zeros(2), np.zeros(2)).flat()
-        F = assemble_operator(problem, x)
+        F = problem.operator(x)
         assert F[4] == pytest.approx(1.0, abs=1e-15)
         assert F[5] == pytest.approx(1.0, abs=1e-15)
 
@@ -107,44 +116,49 @@ class TestOperator:
         # 1/0.04 - 176*1.76*0.065 - (0.1*10.94 + 0.2*30.25) = -2.2784
         Q = np.array([[10.94, 30.25], [11.78, 31.73]])
         x = DecisionVector(Q, np.array([0.96, 0.95]), np.zeros(2)).flat()
-        F = assemble_operator(exp1_problem, x)
+        F = exp1_problem.operator(x)
         assert F[4] == pytest.approx(-2.2784, abs=1e-4)
 
     def test_quantity_component_hand_value(self, exp1_problem):
         # Retailer 1, market 1 at Q=1, u=0:
         # 17.6 + (2*1*1 + 2)*1.76 - price + 2*1, price = -2*2 + 120 = 116
         x = exp1_problem.default_start()
-        F = assemble_operator(exp1_problem, x)
+        F = exp1_problem.operator(x)
         assert F[0] == pytest.approx(17.6 + 4 * 1.76 - 116.0 + 2.0, rel=1e-12)
 
-    def test_budget_component_sign(self, exp1_problem):
-        # F3 = B + ln(1-u): positive with slack, negative when violated.
-        x = exp1_problem.default_start()
-        F = assemble_operator(exp1_problem, x)
-        assert F[6] == pytest.approx(5.28)
-        over = x.copy()
-        over[4] = 1.0 - np.exp(-6.0)  # costs 6.0 > B1 = 5.28
-        F = assemble_operator(exp1_problem, over)
-        assert F[6] == pytest.approx(5.28 - 6.0, abs=1e-9)
+    def test_split_recovers_budget_multiplier(self, exp1_problem):
+        # lambda = max(0, -(1-u) F2): zero where F2 >= 0 (the level would
+        # fall), positive where the budget bound holds a rising level down.
+        slack = exp1_problem.default_start()
+        slack[4:] = [0.99, 0.95]  # u1 below its bound 0.9949, above its optimum
+        assert exp1_problem.operator(slack)[4] > 0.0
+        assert exp1_problem.split(slack).lam[0] == 0.0
+        model = experiment1().model
+        poor = ViProblem(replace(model, retailers=(replace(model.retailers[0], B=2.2),
+                                                   model.retailers[1])))
+        at_cap = poor.default_start()
+        at_cap[4] = poor.upper[4]  # u1 = 1 - exp(-2.2), the budget bound
+        F2 = poor.operator(at_cap)[4]
+        assert F2 < 0.0
+        assert poor.split(at_cap).lam[0] == pytest.approx(-np.exp(-2.2) * F2, rel=1e-12)
 
     def test_rejects_level_at_one(self, exp1_problem):
         x = exp1_problem.default_start()
         x[4] = 1.0
         with pytest.raises(ValueError):
-            assemble_operator(exp1_problem, x)
+            exp1_problem.operator(x)
 
     def test_monotonicity_probe(self, exp1_problem):
         # Empirical record on random feasible pairs; diagnostic for the
         # method's convergence, not a theorem.
         rng = np.random.default_rng(17)
         worst = np.inf
+        u_hi = exp1_problem.upper[4:]
         for _ in range(1000):
-            a = np.concatenate([rng.uniform(0, 100, 4), rng.uniform(0, U_CAP, 2),
-                                rng.uniform(0, 10, 2)])
-            b = np.concatenate([rng.uniform(0, 100, 4), rng.uniform(0, U_CAP, 2),
-                                rng.uniform(0, 10, 2)])
-            fa = assemble_operator(exp1_problem, a)
-            fb = assemble_operator(exp1_problem, b)
+            a = np.concatenate([rng.uniform(0, 100, 4), rng.uniform(0, u_hi)])
+            b = np.concatenate([rng.uniform(0, 100, 4), rng.uniform(0, u_hi)])
+            fa = exp1_problem.operator(a)
+            fb = exp1_problem.operator(b)
             worst = min(worst, float((fa - fb) @ (a - b)))
         assert worst >= -1e-8
 
@@ -159,7 +173,7 @@ class TestNaturalResidual:
         assert vi.natural_residual(np.array([0.0])) == pytest.approx(3.0)
 
     def test_positive_off_solution(self, exp1_problem):
-        assert natural_residual(exp1_problem, exp1_problem.default_start()) > 1.0
+        assert exp1_problem.natural_residual(exp1_problem.default_start()) > 1.0
 
 
 class TestFdCheck:
@@ -177,6 +191,14 @@ class TestFdCheck:
     def test_exp5_random_points_pass(self):
         problem = ViProblem(experiment5().model)
         report = fd_check_random(problem, points=100, seed=1)
+        assert report.max_rel_error < 1e-6
+
+    def test_small_budget_samples_stay_inside_the_box(self):
+        # B = 0.015 bounds u1 by 0.0149, below the usual 0.02 sampling floor.
+        model = experiment1().model
+        poor = replace(model.retailers[0], B=0.015)
+        problem = ViProblem(replace(model, retailers=(poor, model.retailers[1])))
+        report = fd_check_random(problem, points=20, seed=0)
         assert report.max_rel_error < 1e-6
 
     def test_literal_variant_fails_on_loss_term(self, exp1_problem):
