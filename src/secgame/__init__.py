@@ -10,7 +10,8 @@ from .scenarios import (REFERENCE_TARGETS, Scenario, SweepResult, SweepSpec,
                         find_crossing, run_sweep, scenario_by_name, solve_scenario)
 from .solver import (SolverConfig, SolverReport, best_response_solve, solve,
                      verify_equilibrium)
-from .vi import U_CAP, BoxVi, DecisionVector, ViProblem, fd_check, fd_check_random
+from .vi import (U_CAP, BoxVi, DecisionVector, InvestmentVi, ViProblem, fd_check,
+                 fd_check_random)
 
 __version__ = "0.1.0"
 
@@ -23,5 +24,6 @@ __all__ = [
     "scenario_by_name", "solve_scenario",
     "SolverConfig", "SolverReport", "best_response_solve", "solve",
     "verify_equilibrium",
-    "U_CAP", "BoxVi", "DecisionVector", "ViProblem", "fd_check", "fd_check_random",
+    "U_CAP", "BoxVi", "DecisionVector", "InvestmentVi", "ViProblem", "fd_check",
+    "fd_check_random",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .model import MarketParams, ModelSpec, RetailerParams, TransactionCostParams
 from .solver import SolverConfig, SolverReport, solve
-from .vi import DecisionVector, ViProblem
+from .vi import DecisionVector, InvestmentVi, ViProblem
 
 __all__ = [
     "Scenario",
@@ -285,11 +285,20 @@ class SweepResult:
         return np.array([r.converged for r in self.rows])
 
 
+def _solve_game(problem, config, x0, record_trace=False):
+    """Solve ``problem`` from the flat (Q, u) point ``x0`` in investment
+    coordinates; the report's solution is mapped back to flat (Q, u) and its
+    residual is the (Q, u) natural residual."""
+    view = InvestmentVi(problem)
+    report = solve(view, config, x0=view.from_u(x0), record_trace=record_trace)
+    report.solution = view.to_u(report.solution)
+    return report
+
+
 def solve_scenario(scenario: Scenario, record_trace=False):
     """Assemble and solve one scenario; returns (problem, report)."""
     problem = ViProblem(scenario.model)
-    report = solve(problem, scenario.config, x0=scenario.x0.flat(),
-                   record_trace=record_trace)
+    report = _solve_game(problem, scenario.config, scenario.x0.flat(), record_trace)
     return problem, report
 
 
@@ -316,7 +325,7 @@ def run_sweep(spec: SweepSpec, warm_start=True):
         scen = apply_parameter(spec.scenario, spec.param, float(value), spec.coupling)
         problem = ViProblem(scen.model)
         start = problem.project(prev) if prev is not None else scen.x0.flat()
-        report = solve(problem, scen.config, x0=start)
+        report = _solve_game(problem, scen.config, start)
         rows.append(_row_from_report(problem, value, report))
         if warm_start and report.converged:
             prev = report.solution

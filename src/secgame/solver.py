@@ -88,12 +88,15 @@ class SolverReport:
     """Outcome of a solve.
 
     ``solution`` is the flat iterate (use ViProblem.split for the structured
-    view).  ``final_residual`` is the stopping metric: the natural residual
-    for ``solve``, the last sweep's maximum block change for
-    ``best_response_solve``.  ``beta_retries`` counts shrunken prediction
-    steps of ``solve``; it is always 0 for ``best_response_solve``, which
-    takes no such steps.  ``trace`` holds per-iteration (residual, beta, r)
-    triples when recording was requested.
+    view).  ``final_residual`` is the stopping metric: for ``solve``, the
+    problem's ``natural_residual`` at ``solution``, which for both ViProblem
+    and InvestmentVi (the (Q, w) view scenario solves run on) is the (Q, u)
+    natural residual; for ``best_response_solve``, the last sweep's maximum
+    block change.  ``beta_retries`` counts shrunken prediction steps of
+    ``solve``; it is always 0 for ``best_response_solve``, which takes no
+    such steps.  ``trace`` holds per-iteration (residual, beta, r) triples
+    when recording was requested; beta and r belong to the coordinates the
+    problem is solved in.
     """
 
     solution: np.ndarray

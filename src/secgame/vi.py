@@ -13,6 +13,13 @@ follows from the KKT conditions of the solution, lambda_x =
 max(0, -(1 - u_x) F2[x]), and ViProblem.split recovers it; the solution set
 is that of the dualized formulation.  The flattened ordering is fixed so
 iterate traces are comparable across implementations.
+
+InvestmentVi is the same game seen in investment coordinates (Q, w) with
+w_x = -ln(1 - u_x), each retailer's security spend.  The change of variable
+is strictly increasing in each player's own level, so the equilibria and the
+KKT points are those of ViProblem; its level block (1 - u) F2 is bounded,
+where F2 itself grows like 1/(1 - u)^2 in slope, so projection contraction
+takes far fewer steps in w.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ __all__ = [
     "DecisionVector",
     "BoxVi",
     "ViProblem",
+    "InvestmentVi",
     "fd_check",
     "fd_check_random",
     "FdCheckReport",
@@ -183,6 +191,56 @@ class ViProblem(BoxVi):
         x0 = np.zeros(self.dim)
         x0[: self._mn] = 1.0
         return self.project(x0)
+
+
+class InvestmentVi(BoxVi):
+    """Solve-time view of a ViProblem in investment coordinates (Q, w).
+
+    Box: Q as in the problem, 0 <= w <= -ln(1 - problem.upper[u]), which is
+    min(B, -ln(1 - U_CAP)).  Operator: (F1, (1 - u) F2) evaluated through
+    problem.operator at u = 1 - exp(-w).  natural_residual is the (Q, u)
+    natural residual of the mapped point, so a tolerance keeps its meaning.
+    to_u / from_u convert flat points between the two layouts.
+    """
+
+    def __init__(self, problem: ViProblem):
+        self.problem = problem
+        self._mn = problem._mn
+        self._u_upper = problem.upper[self._mn:]
+        upper = problem.upper.copy()
+        upper[self._mn:] = -np.log1p(-self._u_upper)
+        super().__init__(self._level_scaled_operator, problem.lower, upper)
+
+    def to_u(self, x):
+        """Flat (Q, w) point -> flat (Q, u) point inside the problem's box."""
+        out = np.array(x, dtype=float)
+        out[self._mn:] = np.minimum(-np.expm1(-out[self._mn:]), self._u_upper)
+        return out
+
+    def from_u(self, x):
+        """Flat (Q, u) point with u < 1 -> flat (Q, w) point."""
+        out = np.array(x, dtype=float)
+        out[self._mn:] = -np.log1p(-out[self._mn:])
+        return out
+
+    def _level_scaled_operator(self, x):
+        xu = self.to_u(x)
+        out = self.problem.operator(xu)
+        out[self._mn:] *= 1.0 - xu[self._mn:]
+        return out
+
+    def natural_residual(self, x, fx=None):
+        """Sup-norm (Q, u) natural residual at the mapped point.
+
+        ``fx`` is this view's operator value at ``x``; dividing its level
+        block by (1 - u) recovers F2 without another evaluation.
+        """
+        xu = self.to_u(x)
+        if fx is None:
+            return self.problem.natural_residual(xu)
+        fu = np.array(fx, dtype=float)
+        fu[self._mn:] /= 1.0 - xu[self._mn:]
+        return self.problem.natural_residual(xu, fu)
 
 
 @dataclass

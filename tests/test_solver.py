@@ -13,7 +13,7 @@ from secgame.reference import (affine_vi_10d, binding_budget_model,
                                binding_budget_solution, decoupled_duopoly_model,
                                scalar_affine_vi, single_retailer_model,
                                single_retailer_solution)
-from secgame.scenarios import apply_parameter, experiment1, experiment5
+from secgame.scenarios import apply_parameter, experiment1, experiment5, solve_scenario
 from secgame.solver import (DegenerateDirectionError, SolverConfig, SolverNumericError,
                             best_response_solve, correct, predict, solve,
                             verify_equilibrium)
@@ -224,6 +224,30 @@ class TestSingleRetailer:
         br = best_response_solve(problem, cfg)
         assert br.converged
         assert np.max(np.abs(br.solution - direct.solution)) < 1e-8
+
+
+class TestInvestmentCoordinates:
+    """solve_scenario runs projection contraction on InvestmentVi; its
+    equilibria must be those of a direct solve of ViProblem in u."""
+
+    @pytest.mark.parametrize("build", [
+        experiment1,
+        experiment5,
+        lambda: apply_parameter(experiment1(), "B1", 2.2),  # retailer 1's budget binds
+    ], ids=["exp1", "exp5", "exp1-B1=2.2"])
+    def test_agrees_with_direct_solve(self, build):
+        cfg = SolverConfig(tol=1e-9, max_iter=1_000_000)
+        scen = replace(build(), config=cfg)
+        problem, report = solve_scenario(scen)
+        direct = solve(ViProblem(scen.model), cfg, x0=scen.x0.flat())
+        assert report.converged and direct.converged
+        assert report.final_residual <= 1e-9
+        assert problem.contains(report.solution)
+        got = problem.split(report.solution)
+        ref = problem.split(direct.solution)
+        assert np.max(np.abs(got.u - ref.u)) <= 1e-8
+        assert np.max(np.abs(got.Q - ref.Q)) <= 1e-8
+        assert np.max(np.abs(got.lam - ref.lam)) <= 1e-6
 
 
 class TestBestResponse:

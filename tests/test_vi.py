@@ -6,8 +6,8 @@ from dataclasses import replace
 
 from secgame.model import MarketParams, ModelSpec, RetailerParams, TransactionCostParams
 from secgame.scenarios import experiment1, experiment5
-from secgame.vi import (U_CAP, BoxVi, DecisionVector, FdCheckReport, ViProblem, fd_check,
-                        fd_check_random)
+from secgame.vi import (U_CAP, BoxVi, DecisionVector, FdCheckReport, InvestmentVi,
+                        ViProblem, fd_check, fd_check_random)
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +174,85 @@ class TestNaturalResidual:
 
     def test_positive_off_solution(self, exp1_problem):
         assert exp1_problem.natural_residual(exp1_problem.default_start()) > 1.0
+
+
+def random_points(problem, rng, count, u_max=0.99):
+    """Flat (Q, u) points inside the box with every level at most u_max."""
+    mn = problem._mn
+    u_hi = np.minimum(u_max, problem.upper[mn:] - 1e-3)
+    return [np.concatenate([rng.uniform(0.0, problem.model.q_upper, mn),
+                            rng.uniform(0.0, u_hi)]) for _ in range(count)]
+
+
+class TestInvestmentVi:
+    def test_box_maps_onto_the_problem_box(self, exp1_problem):
+        view = InvestmentVi(exp1_problem)
+        assert np.array_equal(view.lower, exp1_problem.lower)
+        assert np.array_equal(view.upper[:4], exp1_problem.upper[:4])
+        # The budget -ln(1 - u) <= B is the bound w <= B itself.
+        assert view.upper[4:] == pytest.approx([5.28, 3.72], rel=1e-14)
+        assert np.array_equal(view.to_u(view.lower), exp1_problem.lower)
+        assert np.allclose(view.to_u(view.upper), exp1_problem.upper, rtol=0.0, atol=1e-15)
+        assert np.all(view.to_u(view.upper) <= exp1_problem.upper)
+
+    def test_large_budget_leaves_level_cap(self):
+        model = experiment1().model
+        rich = replace(model.retailers[0], B=20.0)
+        view = InvestmentVi(ViProblem(replace(model, retailers=(rich, model.retailers[1]))))
+        assert view.upper[4] == pytest.approx(-np.log(1.0 - U_CAP), rel=1e-9)
+        assert view.to_u(view.upper)[4] == pytest.approx(U_CAP, abs=1e-15)
+
+    def test_round_trip(self, exp1_problem):
+        view = InvestmentVi(exp1_problem)
+        rng = np.random.default_rng(11)
+        for x in random_points(exp1_problem, rng, 200, u_max=exp1_problem.upper[4]):
+            w = view.from_u(x)
+            assert np.array_equal(w[:4], x[:4])
+            assert np.max(np.abs(view.to_u(w) - x)) <= 1e-15
+
+    def test_level_block_is_scaled_f2(self, exp1_problem):
+        view = InvestmentVi(exp1_problem)
+        rng = np.random.default_rng(12)
+        for x in random_points(exp1_problem, rng, 50):
+            w = view.from_u(x)
+            xu = view.to_u(w)
+            F = exp1_problem.operator(xu)
+            G = view.operator(w)
+            assert np.array_equal(G[:4], F[:4])
+            assert G[4:] == pytest.approx((1.0 - xu[4:]) * F[4:], rel=1e-14, abs=1e-14)
+
+    def test_natural_residual_is_that_of_the_mapped_point(self, exp1_problem):
+        view = InvestmentVi(exp1_problem)
+        rng = np.random.default_rng(13)
+        points = random_points(exp1_problem, rng, 50)
+        at_cap = exp1_problem.default_start()
+        at_cap[4:] = exp1_problem.upper[4:]
+        for x in points + [at_cap, exp1_problem.default_start()]:
+            w = view.from_u(x)
+            expected = exp1_problem.natural_residual(view.to_u(w))
+            assert view.natural_residual(w) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            assert view.natural_residual(w, view.operator(w)) == pytest.approx(
+                expected, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("scenario", [experiment1, experiment5])
+    def test_strongly_monotone_on_samples(self, scenario):
+        # Smallest eigenvalue of the symmetric part of the central-difference
+        # Jacobian: positive at every sample, so the projection-contraction
+        # convergence theory applies in w as it does in u.
+        problem = ViProblem(scenario().model)
+        view = InvestmentVi(problem)
+        dim, h = view.dim, 1e-6
+        rng = np.random.default_rng(21)
+        worst = np.inf
+        for x in random_points(problem, rng, 200):
+            w = view.from_u(x)
+            J = np.empty((dim, dim))
+            for k in range(dim):
+                e = np.zeros(dim)
+                e[k] = h
+                J[:, k] = (view.operator(w + e) - view.operator(w - e)) / (2.0 * h)
+            worst = min(worst, float(np.linalg.eigvalsh(0.5 * (J + J.T)).min()))
+        assert worst > 0.0
 
 
 class TestFdCheck:
