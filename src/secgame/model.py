@@ -269,3 +269,30 @@ class ModelSpec:
         u = np.asarray(u, dtype=float)
         p = attack_probability(u[x], mean_security(u), r.mu)
         return self.profit(x, Q, u) - r.D * p - security_cost(u[x])
+
+    def expected_utility_batch(self, x, Q, u):
+        """expected_utility of retailer x at many points in one evaluation.
+
+        ``Q`` has shape (..., m, n) and ``u`` shape (..., m); their leading
+        shapes broadcast against each other and give the shape of the result.
+        Equal to expected_utility up to the order of floating-point sums.
+        """
+        if not 0 <= x < self.m:
+            raise IndexError(f"retailer index {x} out of range")
+        Q = np.asarray(Q, dtype=float)
+        u = np.asarray(u, dtype=float)
+        if Q.shape[-2:] != (self.m, self.n) or u.shape[-1:] != (self.m,):
+            raise ValueError(f"expected Q of shape (..., {self.m}, {self.n}) and u of "
+                             f"shape (..., {self.m}), got {Q.shape} and {u.shape}")
+        np.broadcast_shapes(Q.shape[:-2], u.shape[:-1])  # ValueError on mismatch
+        if np.any(u < 0.0) or np.any(u >= 1.0):
+            raise ValueError("security levels must lie in [0, 1)")
+        r = self.retailers[x]
+        row = Q[..., x, :]
+        u_x = u[..., x]
+        u_bar = u.mean(axis=-1)
+        rho = self.alpha_vec * Q.sum(axis=-2) + self.gamma_vec * u_bar[..., None] \
+            + self.kappa_vec
+        trans = (self.cost_a[x] * row * row + self.cost_b[x] * row) * self.cost_s[x]
+        profit = (rho * row).sum(axis=-1) - r.c * row.sum(axis=-1) - trans.sum(axis=-1)
+        return profit - r.D * ((1.0 - u_x) * (1.0 - u_bar) * r.mu) + np.log1p(-u_x)

@@ -12,7 +12,7 @@ equilibrium verifier, both used as independent cross-checks of the main
 solve.  The best-response driver runs no projection-contraction step: with
 rivals frozen, each retailer's shipments solve affine first-order conditions
 in closed form and its level is the root of a strictly increasing
-stationarity condition found by bisection under the budget bound.
+stationarity condition found by regula falsi under the budget bound.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ModelSpec
-from .vi import U_CAP, DecisionVector, ViProblem
+from .vi import DecisionVector, ViProblem
 
 __all__ = [
     "SolverConfig",
@@ -201,10 +201,44 @@ def solve(problem, config=None, x0=None, record_trace=False, iterate_callback=No
     return SolverReport(x, iterations, residual, False, retries, trace)
 
 
-# Halvings of the level bracket [0, u_cap] with u_cap <= 1: 2**-60 is below
-# the float spacing of every level in [0.5, 1), so the root is exact to the
-# last bit where equilibria live.
-_BISECTION_STEPS = 60
+def _level_root(f, hi):
+    """Root of a strictly increasing f on [0, hi], or the end it is pinned to.
+
+    Returns 0 when f(0) >= 0 and hi when f(hi) <= 0.  Otherwise runs the
+    Illinois regula falsi: a secant step inside the bracket, where an end
+    kept by two steps in a row has its value halved so that both ends close
+    in.  A secant step that rounds onto an end moves one float inward, so a
+    root within float spacing of that end is bracketed at once; one that
+    leaves the bracket falls back to the midpoint.  The loop stops when no
+    float lies strictly inside the bracket and returns its midpoint, as a
+    bisection run to the last bit would.
+    """
+    lo, f_lo = 0.0, f(0.0)
+    if f_lo >= 0.0:
+        return lo
+    f_hi = f(hi)
+    if f_hi <= 0.0:
+        return hi
+    kept = 0  # +1: the last step kept hi, -1: it kept lo
+    while True:
+        s = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if s == lo or s == hi:
+            s = math.nextafter(s, hi if s == lo else lo)
+        elif not lo < s < hi:
+            s = 0.5 * (lo + hi)
+        if not lo < s < hi:
+            return 0.5 * (lo + hi)
+        fs = f(s)
+        if fs < 0.0:
+            lo, f_lo = s, fs
+            if kept > 0:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = s, fs
+            if kept < 0:
+                f_lo *= 0.5
+            kept = -1
 
 
 def _block_best_response(problem: ViProblem, x, x_idx):
@@ -215,8 +249,8 @@ def _block_best_response(problem: ViProblem, x, x_idx):
     positive under the model validators (alpha < 0, a >= 0, s > 0), so one
     clipped Newton step from one operator evaluation solves each market.
     Level: F2[x] strictly increases in u_x (slope 1/(1-u)^2 + 2DM/m >= 1),
-    so bisection on [0, upper bound of u_x] finds its root; the bound is
-    the budget cap min(U_CAP, 1 - e^-B).
+    so _level_root finds its root on [0, upper bound of u_x]; the bound is
+    the budget cap min(U_CAP, -expm1(-B)) of the problem's box.
     """
     model = problem.model
     n = model.n
@@ -237,21 +271,7 @@ def _block_best_response(problem: ViProblem, x, x_idx):
         z[iu] = u
         return float(operator(z)[iu])
 
-    u_cap = float(problem.upper[iu])
-    if f2(0.0) >= 0.0:
-        u = 0.0
-    elif f2(u_cap) <= 0.0:
-        u = u_cap
-    else:
-        lo, hi = 0.0, u_cap
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            if f2(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        u = 0.5 * (lo + hi)
-    z[iu] = u
+    z[iu] = _level_root(f2, float(problem.upper[iu]))
     return z
 
 
@@ -260,7 +280,7 @@ def best_response_solve(problem: ViProblem, config=None, x0=None, max_sweeps=100
 
     Each sweep replaces every retailer's (Q row, u) block, in order, by its
     exact best response to the current rival values (closed-form shipments,
-    bisection on the level); no projection-contraction iteration runs, so
+    regula falsi on the level); no projection-contraction iteration runs, so
     the result is an independent check of ``solve``.  Sweeps repeat until the
     largest block change is at most config.tol.  The report counts sweeps in
     ``iterations`` and the last sweep's maximum block change in
@@ -313,30 +333,33 @@ class VerificationReport:
         return float(self.improvements.max())
 
 
-def _utility_grid(model: ModelSpec, x_idx, rest_d, rest_u_sum, u_grid, q_grids):
-    """Vectorized expected utility of retailer x over a lattice of own moves."""
-    m = model.m
-    r = model.retailers[x_idx]
-    shape = (len(u_grid),) + tuple(len(g) for g in q_grids)
-    u = u_grid.reshape((-1,) + (1,) * model.n)
-    ubar = (rest_u_sum + u) / m
-    revenue = np.zeros(shape)
-    cost = np.zeros(shape)
-    for y in range(model.n):
-        qy = q_grids[y].reshape((1,) * (1 + y) + (-1,) + (1,) * (model.n - 1 - y))
-        rho = model.alpha_vec[y] * (rest_d[y] + qy) + model.gamma_vec[y] * ubar \
-            + model.kappa_vec[y]
-        revenue = revenue + rho * qy
-        tc = r.costs[y]
-        cost = cost + (tc.a * qy * qy + tc.b * qy) * tc.s + r.c * qy
-    total = revenue - cost
-    p = (1.0 - u) * (1.0 - ubar) * r.mu
-    total = total - r.D * p + np.log1p(-u)
-    return total
+def _own_move_values(model: ModelSpec, x_idx, point: DecisionVector, u_axis, q_axes):
+    """Retailer x_idx's utility on its own-move axes, split by market.
+
+    For a fixed own level u the utility is g(u) + sum_y f_y(Q[x, y], u):
+    each market term depends on its own shipment alone and f_y(0, u) = 0.
+    Returns g(u) over ``u_axis`` (shape (d_u,)) and f_y(q, u) over
+    ``u_axis`` x ``q_axes[y]`` (shape (n, d_u, d_q)), both read off the
+    model's batched value function with rivals held at ``point``.
+    """
+    n = model.n
+    d_q = q_axes.shape[1]
+    u = np.repeat(point.u[None], len(u_axis), axis=0)
+    u[:, x_idx] = u_axis
+    Q0 = point.Q.copy()
+    Q0[x_idx] = 0.0
+    g = model.expected_utility_batch(x_idx, Q0, u)
+    # Market y's slab ships q_axes[y] into y and nothing elsewhere.
+    Q = np.tile(Q0, (n, d_q, 1, 1))
+    for y in range(n):
+        Q[y, :, x_idx, y] = q_axes[y]
+    f = model.expected_utility_batch(x_idx, Q[:, None], u[None, :, None]) - g[:, None]
+    return g, f
 
 
-# Largest own-move lattice verify_equilibrium will build for one retailer:
-# each lattice point becomes a float64 cell in several full-size arrays.
+# Largest own-move lattice verify_equilibrium will audit for one retailer.
+# The separable pass builds only n * density**2 values, but the refusal
+# keeps the --grid range of the full-lattice audit it reproduces.
 _MAX_GRID_POINTS = 10_000_000
 
 
@@ -349,12 +372,14 @@ def verify_equilibrium(model: ModelSpec, point: DecisionVector, grid_density=50,
     """Certify the Nash property of a candidate point by brute-force search.
 
     For each retailer the own block (quantities over [0, q_upper]^n, level
-    over the budget-feasible range) is scanned on a grid with rivals fixed,
-    then the grid is refined around the best cell.  Purely diagnostic; a
-    positive improvement means the retailer could deviate profitably.
-    The lattice has grid_density**(n+1) points per retailer; above
-    _MAX_GRID_POINTS the audit is refused with ValueError rather than
-    coarsened.
+    over the budget-feasible range of the VI box) is scanned on a lattice
+    with rivals fixed, then the lattice is refined around the best cell.
+    Each market term of the utility depends on its own shipment only, so
+    the lattice maximum is max_u [g(u) + sum_y max_q f_y(q, u)], found at
+    n * grid_density**2 evaluations per pass instead of
+    grid_density**(n+1).  Purely diagnostic; a positive improvement means
+    the retailer could deviate profitably.  Lattices above _MAX_GRID_POINTS
+    points per retailer are refused with ValueError rather than coarsened.
     """
     if grid_density < 2:
         raise ValueError("grid_density must be at least 2")
@@ -365,30 +390,28 @@ def verify_equilibrium(model: ModelSpec, point: DecisionVector, grid_density=50,
                          f"per retailer for {n} markets; the limit is {_MAX_GRID_POINTS}")
     improvements = np.zeros(m)
     best_points = []
-    d_all = point.Q.sum(axis=0)
-    u_sum = point.u.sum()
+    u_caps = ViProblem(model).upper[m * n:]
 
     for x_idx in range(m):
-        rest_d = d_all - point.Q[x_idx]
-        rest_u_sum = u_sum - point.u[x_idx]
         base = model.expected_utility(x_idx, point.Q, point.u)
-        u_cap_x = min(U_CAP, 1.0 - math.exp(-model.retailers[x_idx].B))
+        u_cap_x = float(u_caps[x_idx])
         u_lo, u_hi = 0.0, u_cap_x
         q_lo = np.zeros(n)
         q_hi = np.full(n, model.q_upper)
         best_val, best_u, best_q = -math.inf, 0.0, np.zeros(n)
 
         for _ in range(refinements + 1):
-            u_grid = _grid_axes(u_lo, u_hi, grid_density)
-            q_grids = [_grid_axes(q_lo[y], q_hi[y], grid_density) for y in range(n)]
-            vals = _utility_grid(model, x_idx, rest_d, rest_u_sum, u_grid, q_grids)
-            flat = int(np.argmax(vals))
-            idx = np.unravel_index(flat, vals.shape)
-            cand = float(vals[idx])
-            if cand > best_val:
-                best_val = cand
-                best_u = float(u_grid[idx[0]])
-                best_q = np.array([q_grids[y][idx[1 + y]] for y in range(n)])
+            u_axis = _grid_axes(u_lo, u_hi, grid_density)
+            q_axes = np.array([_grid_axes(q_lo[y], q_hi[y], grid_density)
+                               for y in range(n)])
+            g, f = _own_move_values(model, x_idx, point, u_axis, q_axes)
+            j = np.argmax(f, axis=2)
+            totals = g + np.take_along_axis(f, j[..., None], axis=2)[..., 0].sum(axis=0)
+            i = int(np.argmax(totals))
+            if totals[i] > best_val:
+                best_val = float(totals[i])
+                best_u = float(u_axis[i])
+                best_q = q_axes[np.arange(n), j[:, i]]
             # Zoom in one cell around the best coordinates.
             du = (u_hi - u_lo) / (grid_density - 1)
             u_lo = max(0.0, best_u - du)

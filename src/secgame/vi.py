@@ -258,8 +258,63 @@ class FdCheckReport:
                 f"(retailer {self.worst_retailer + 1}, {self.worst_coordinate})")
 
 
-def _central_diff(f, h):
-    return (f(h) - f(-h)) / (2.0 * h)
+# Bound on the Q entries of one fd_check_random batch (2(n+1) perturbed
+# copies of each sample's m x n shipments), so memory stays flat for any
+# --points value; at m = n = 2 one batch holds ~10 000 samples.
+_FD_BATCH_VALUES = 1 << 18
+
+
+def _check_step(step):
+    if not 1e-7 <= step <= 1e-4:
+        raise ValueError("step must lie in [1e-7, 1e-4]")
+
+
+def _fd_errors(problem: ViProblem, X, step):
+    """Relative errors of F1 and F2 at each row of ``X`` (k flat points).
+
+    Retailer x's objective -expected_utility is differentiated in its own
+    (Q row, u) block with rivals frozen.  Its 2(n+1) central-difference
+    points at all k rows go to the model's batched value function in one
+    call, so the oracle shares no code with the operator assembly.
+    Returns q_err of shape (k, m, n) and u_err of shape (k, m).
+    """
+    m, n, mn = problem._m, problem._n, problem._mn
+    k = X.shape[0]
+    margin = 2.0 * step
+    if np.any(X < problem.lower + margin) or np.any(X > problem.upper - margin):
+        raise ValueError("point too close to a bound for central differencing")
+
+    F = np.array([problem.operator(x) for x in X])
+    F_own = np.concatenate([F[:, :mn].reshape(k, m, n), F[:, mn:, None]], axis=2)
+    Q = X[:, None, :mn].reshape(k, 1, m, n)
+    u = X[:, None, mn:]
+    # Point 2j moves own coordinate j (Q[x, j] for j < n, then u[x]) by
+    # +step, point 2j + 1 by -step.
+    coord = np.repeat(np.arange(n + 1), 2)
+    delta = np.tile([step, -step], n + 1)
+    on_q = np.flatnonzero(coord < n)
+
+    err = np.empty((k, m, n + 1))
+    for xi in range(m):
+        Qp = np.repeat(Q, 2 * (n + 1), axis=1)
+        up = np.repeat(u, 2 * (n + 1), axis=1)
+        Qp[:, on_q, xi, coord[on_q]] += delta[on_q]
+        up[:, -2:, xi] += delta[-2:]
+        obj = -problem.model.expected_utility_batch(xi, Qp, up)
+        fd = (obj[:, 0::2] - obj[:, 1::2]) / (2.0 * step)
+        f = F_own[:, xi]
+        err[:, xi] = np.abs(f - fd) / np.maximum(1.0, np.maximum(np.abs(f), np.abs(fd)))
+    return err[..., :n], err[..., n]
+
+
+def _report(q_err, u_err):
+    if q_err.max(initial=0.0) >= u_err.max(initial=0.0):
+        xi, y = np.unravel_index(int(np.argmax(q_err)), q_err.shape)
+        worst = (float(q_err[xi, y]), int(xi), f"Q_{xi + 1}_{y + 1}")
+    else:
+        xi = int(np.argmax(u_err))
+        worst = (float(u_err[xi]), xi, f"u_{xi + 1}")
+    return FdCheckReport(worst[0], worst[1], worst[2], q_err, u_err)
 
 
 def fd_check(problem: ViProblem, x, step=1e-5):
@@ -270,50 +325,10 @@ def fd_check(problem: ViProblem, x, step=1e-5):
     functions, so it shares no code with the operator assembly.  Relative
     errors use the denominator max(1, |F|, |fd|).
     """
-    if not 1e-7 <= step <= 1e-4:
-        raise ValueError("step must lie in [1e-7, 1e-4]")
+    _check_step(step)
     x = np.asarray(x, dtype=float)
-    m, n, mn = problem._m, problem._n, problem._mn
-    margin = 2.0 * step
-    if np.any(x < problem.lower + margin) or np.any(x > problem.upper - margin):
-        raise ValueError("point too close to a bound for central differencing")
-
-    F = problem.operator(x)
-    F1 = F[:mn].reshape(m, n)
-    F2 = F[mn:]
-    Q = x[:mn].reshape(m, n)
-    u = x[mn:]
-    eu = problem.model.expected_utility
-
-    q_err = np.zeros((m, n))
-    u_err = np.zeros(m)
-    for xi in range(m):
-        for y in range(n):
-            def obj_q(delta, xi=xi, y=y):
-                Qp = Q.copy()
-                Qp[xi, y] += delta
-                return -eu(xi, Qp, u)
-
-            fd = _central_diff(obj_q, step)
-            denom = max(1.0, abs(F1[xi, y]), abs(fd))
-            q_err[xi, y] = abs(F1[xi, y] - fd) / denom
-
-        def obj_u(delta, xi=xi):
-            up = u.copy()
-            up[xi] += delta
-            return -eu(xi, Q, up)
-
-        fd = _central_diff(obj_u, step)
-        denom = max(1.0, abs(F2[xi]), abs(fd))
-        u_err[xi] = abs(F2[xi] - fd) / denom
-
-    if q_err.max(initial=0.0) >= u_err.max(initial=0.0):
-        xi, y = np.unravel_index(int(np.argmax(q_err)), q_err.shape)
-        worst = (float(q_err[xi, y]), int(xi), f"Q_{xi + 1}_{y + 1}")
-    else:
-        xi = int(np.argmax(u_err))
-        worst = (float(u_err[xi]), xi, f"u_{xi + 1}")
-    return FdCheckReport(worst[0], worst[1], worst[2], q_err, u_err)
+    q_err, u_err = _fd_errors(problem, x[None], step)
+    return _report(q_err[0], u_err[0])
 
 
 def fd_check_random(problem: ViProblem, points=100, step=1e-5, seed=0):
@@ -321,20 +336,27 @@ def fd_check_random(problem: ViProblem, points=100, step=1e-5, seed=0):
 
     Samples stay away from the u singularity (u <= 0.9), the budget bound and
     the box faces so the finite-difference truncation error itself stays
-    well below the tolerances being checked.
+    well below the tolerances being checked.  Samples are differenced in
+    batches; the first sample with the largest error is reported.
     """
     if points < 1:
         raise ValueError("points must be positive")
+    _check_step(step)
     rng = np.random.default_rng(seed)
     m, n, mn = problem._m, problem._n, problem._mn
     q_hi = problem.model.q_upper
     u_hi = np.minimum(0.9, problem.upper[mn:] - 2.0 * step)
     u_lo = np.minimum(0.02, 0.5 * u_hi)
+    batch = max(1, _FD_BATCH_VALUES // (2 * (n + 1) * mn))
     worst = None
-    for _ in range(points):
-        Q = rng.uniform(0.01 * q_hi, 0.99 * q_hi, size=(m, n))
-        u = rng.uniform(u_lo, u_hi, size=m)
-        rep = fd_check(problem, np.concatenate([Q.ravel(), u]), step=step)
-        if worst is None or rep.max_rel_error > worst.max_rel_error:
-            worst = rep
-    return worst
+    for start in range(0, points, batch):
+        X = np.empty((min(batch, points - start), mn + m))
+        for row in X:
+            row[:mn] = rng.uniform(0.01 * q_hi, 0.99 * q_hi, size=(m, n)).ravel()
+            row[mn:] = rng.uniform(u_lo, u_hi, size=m)
+        q_err, u_err = _fd_errors(problem, X, step)
+        per_point = np.maximum(q_err.max(axis=(1, 2)), u_err.max(axis=1))
+        i = int(np.argmax(per_point))
+        if worst is None or per_point[i] > worst[0]:
+            worst = (per_point[i], q_err[i], u_err[i])
+    return _report(worst[1], worst[2])

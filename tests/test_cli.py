@@ -244,7 +244,7 @@ class TestVerifyCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("lattice built past the point budget")
 
-        monkeypatch.setattr(solver, "_utility_grid", forbidden)
+        monkeypatch.setattr(solver, "_own_move_values", forbidden)
         assert run(["verify", "exp1", "--grid", "1000"]) == EXIT_VALIDATION
         assert "lattice points" in capsys.readouterr().err
 

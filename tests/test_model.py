@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from secgame.model import (MarketParams, ModelSpec, RetailerParams,
                            TransactionCostParams, attack_probability, budget_gap,
                            mean_security, security_cost, security_cost_deriv)
-from secgame.scenarios import experiment1, experiment_model
+from secgame.scenarios import experiment1, experiment5, experiment_model
 
 
 def central_diff(f, x, h=1e-6):
@@ -205,6 +205,70 @@ class TestExpectedUtility:
         u = np.array([0.0, 0.4])
         assert model.expected_utility(0, Q, u) == pytest.approx(
             model.profit(0, Q, u), rel=1e-12)
+
+
+class TestExpectedUtilityBatch:
+    """The batched value function against the scalar one it stands in for."""
+
+    @staticmethod
+    def random_points(model, rng, lead):
+        Q = rng.uniform(0.0, model.q_upper, size=lead + (model.m, model.n))
+        u = rng.uniform(0.0, 0.999, size=lead + (model.m,))
+        return Q, u
+
+    @pytest.mark.parametrize("build", [experiment1, experiment5], ids=["exp1", "exp5"])
+    @pytest.mark.parametrize("lead", [(), (8, 25)], ids=["scalar", "k-by-j"])
+    def test_matches_scalar_expected_utility(self, build, lead):
+        model = build().model
+        rng = np.random.default_rng(11)
+        points = 200 if lead == () else 1
+        for _ in range(points):
+            Q, u = self.random_points(model, rng, lead)
+            flat_Q = Q.reshape((-1, model.m, model.n))
+            flat_u = u.reshape((-1, model.m))
+            for x in range(model.m):
+                got = np.asarray(model.expected_utility_batch(x, Q, u))
+                assert got.shape == lead
+                want = np.array([model.expected_utility(x, q, v)
+                                 for q, v in zip(flat_Q, flat_u)]).reshape(lead)
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_leading_shapes_broadcast(self):
+        model = experiment1().model
+        rng = np.random.default_rng(3)
+        Q, _ = self.random_points(model, rng, (4, 1))
+        _, u = self.random_points(model, rng, (1, 5))
+        got = model.expected_utility_batch(1, Q, u)
+        assert got.shape == (4, 5)
+        assert got[2, 3] == pytest.approx(model.expected_utility(1, Q[2, 0], u[0, 3]),
+                                          rel=1e-12)
+
+    @pytest.mark.parametrize("bad_u", [[1.0, 0.5], [0.5, -1e-9]],
+                             ids=["level-one", "negative-level"])
+    def test_rejects_levels_outside_unit_interval(self, bad_u):
+        model = experiment1().model
+        with pytest.raises(ValueError, match="security levels"):
+            model.expected_utility_batch(0, np.ones((3, 2, 2)),
+                                         np.array([[0.2, 0.3], bad_u, [0.1, 0.1]]))
+
+    @pytest.mark.parametrize("x", [-1, 2])
+    def test_rejects_bad_retailer_index(self, x):
+        model = experiment1().model
+        with pytest.raises(IndexError):
+            model.expected_utility_batch(x, np.ones((2, 2)), np.zeros(2))
+
+    @pytest.mark.parametrize("Q_shape, u_shape", [
+        ((2, 3), (2,)),          # wrong number of markets
+        ((3, 2), (3,)),          # wrong number of retailers
+        ((2, 2), (3,)),
+        ((4, 2, 2), (5, 2)),     # leading shapes do not broadcast
+        ((2,), (2,)),
+        ((2, 2), ()),
+    ])
+    def test_rejects_mismatched_shapes(self, Q_shape, u_shape):
+        model = experiment1().model
+        with pytest.raises(ValueError):
+            model.expected_utility_batch(0, np.ones(Q_shape), np.full(u_shape, 0.5))
 
 
 class TestModelDerivatives:

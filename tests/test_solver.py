@@ -13,11 +13,65 @@ from secgame.reference import (affine_vi_10d, binding_budget_model,
                                binding_budget_solution, decoupled_duopoly_model,
                                scalar_affine_vi, single_retailer_model,
                                single_retailer_solution)
-from secgame.scenarios import apply_parameter, experiment1, experiment5, solve_scenario
+from secgame.scenarios import (Scenario, apply_parameter, experiment1, experiment5,
+                               experiment_model, solve_scenario)
 from secgame.solver import (DegenerateDirectionError, SolverConfig, SolverNumericError,
                             best_response_solve, correct, predict, solve,
                             verify_equilibrium)
 from secgame.vi import BoxVi, DecisionVector, ViProblem
+
+
+def full_lattice_audit(model, point, grid_density, refinements=2):
+    """Reference audit for n <= 2: the whole product lattice of own moves,
+    evaluated by the model's batched value function, with the zoom-in
+    refinement of verify_equilibrium.  Returns (improvements, best_points)."""
+    assert model.n <= 2
+    m, n = model.m, model.n
+    u_caps = ViProblem(model).upper[m * n:]
+    gains, best_points = np.zeros(m), []
+    for x in range(m):
+        lo = np.zeros(n + 1)
+        hi = np.concatenate([[u_caps[x]], np.full(n, model.q_upper)])
+        cap = hi.copy()
+        best_val, best = -math.inf, None
+        for _ in range(refinements + 1):
+            axes = [np.linspace(lo[k], hi[k], grid_density) for k in range(n + 1)]
+            # Lattice axis 0 is the level, axis 1 + y the shipment into y.
+            Q = np.broadcast_to(point.Q, (1,) + (grid_density,) * n + (m, n)).copy()
+            u = np.broadcast_to(point.u, (grid_density,) + (1,) * n + (m,)).copy()
+            u[..., x] = axes[0].reshape((-1,) + (1,) * n)
+            for y in range(n):
+                Q[..., x, y] = axes[1 + y].reshape((1,) * y + (-1,) + (1,) * (n - 1 - y))
+            vals = model.expected_utility_batch(x, Q, u)
+            idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+            if vals[idx] > best_val:
+                best_val = float(vals[idx])
+                best = np.array([axes[k][idx[k]] for k in range(n + 1)])
+            step = (hi - lo) / (grid_density - 1)
+            lo = np.maximum(0.0, best - step)
+            hi = np.minimum(cap, best + step)
+        gains[x] = best_val - model.expected_utility(x, point.Q, point.u)
+        best_points.append((best[1:], float(best[0])))
+    return gains, best_points
+
+
+def solve_equilibrium(model):
+    """(problem, report) of a converged tol-1e-9 scenario solve of ``model``."""
+    x0 = DecisionVector(np.ones((model.m, model.n)), np.zeros(model.m), np.zeros(model.m))
+    problem, report = solve_scenario(
+        Scenario("test", model, x0, SolverConfig(tol=1e-9, max_iter=1_000_000)))
+    assert report.converged
+    return problem, report
+
+
+def three_market_model(shares):
+    """The experiment family with a third market inside the family's ranges."""
+    model = experiment_model(shares)
+    market = MarketParams(alpha=-1.5, gamma=0.3, kappa=180.0)
+    retailers = tuple(
+        replace(r, costs=r.costs + (TransactionCostParams(a=0.75, b=2.0, s=r.costs[0].s),))
+        for r in model.retailers)
+    return replace(model, n=3, retailers=retailers, markets=model.markets + (market,))
 
 
 class TestConfig:
@@ -306,6 +360,27 @@ class TestBestResponse:
         assert report.iterations == 10
         assert report.beta_retries == 0
 
+    @pytest.mark.parametrize("build, sweeps, max_calls", [
+        (experiment1, 12, 500),
+        (experiment5, 16, 900),
+    ], ids=["exp1", "exp5"])
+    def test_operator_call_count(self, build, sweeps, max_calls):
+        # Each block costs one operator call for its shipments and one per
+        # regula falsi step on its level.
+        problem = ViProblem(build().model)
+        calls = []
+        operator = problem.operator
+
+        def counted(x):
+            calls.append(1)
+            return operator(x)
+
+        problem.operator = counted
+        report = best_response_solve(problem, SolverConfig(tol=1e-9))
+        assert report.converged
+        assert report.iterations == sweeps
+        assert len(calls) <= max_calls
+
     def test_non_finite_operator_raises_numeric_error(self):
         # Finite but huge intercepts overflow the operator sum to -inf.
         model = experiment1().model
@@ -344,6 +419,54 @@ class TestVerifyEquilibrium:
         assert audit.improvements[0] > 1e-2
         assert not audit.certified
 
+    @pytest.mark.parametrize("build", [
+        lambda: experiment1().model,
+        lambda: experiment5().model,
+        lambda: experiment_model((0.3, 0.7)),
+        lambda: experiment_model((0.5, 0.2, 0.3)),
+        lambda: experiment_model((0.1, 0.4, 0.35, 0.15)),
+        lambda: experiment_model((0.9, 0.05, 0.6, 0.25)),
+    ], ids=["exp1", "exp5", "m2", "m3", "m4", "m4-uneven"])
+    def test_matches_full_lattice_audit(self, build):
+        model = build()
+        problem, report = solve_equilibrium(model)
+        point = problem.split(report.solution)
+        rng = np.random.default_rng(model.m)
+        perturbed = []
+        for _ in range(2):
+            # Perturb by up to 5 %, inside the box, so the audit finds gains.
+            scale = 1.0 + rng.uniform(-0.05, 0.05, size=problem.dim)
+            x = problem.project(report.solution * scale)
+            perturbed.append(problem.split(x))
+        for candidate in [point] + perturbed:
+            audit = verify_equilibrium(model, candidate, grid_density=50)
+            oracle_gains, oracle_points = full_lattice_audit(model, candidate, 50)
+            assert np.max(np.abs(audit.improvements - oracle_gains)) <= 1e-10
+            for (q, u), (q_ref, u_ref) in zip(audit.best_points, oracle_points):
+                assert u == u_ref
+                assert np.array_equal(q, q_ref)
+        assert not verify_equilibrium(model, perturbed[0], grid_density=50).certified
+
+    def test_three_market_audit_certifies(self):
+        model = three_market_model((0.5, 0.3, 0.2))
+        problem, report = solve_equilibrium(model)
+        audit = verify_equilibrium(model, problem.split(report.solution), grid_density=50)
+        assert audit.certified
+        assert audit.improvements.shape == (3,)
+        assert all(q.shape == (3,) for q, _ in audit.best_points)
+
+    def test_audited_levels_respect_a_small_budget(self):
+        # 1 - exp(-B) rounds above -expm1(-B) at B = 0.015: the audit must
+        # scan the VI box's level range, never a budget-infeasible level.
+        scen = apply_parameter(experiment1(), "B1", 0.015)
+        problem, report = solve_scenario(scen)
+        assert report.converged
+        audit = verify_equilibrium(scen.model, problem.split(report.solution),
+                                   grid_density=50)
+        upper = problem.upper[scen.model.m * scen.model.n:]
+        assert all(u <= upper[x] for x, (_, u) in enumerate(audit.best_points))
+        assert audit.best_points[0][1] == upper[0]  # the budget binds
+
     def test_oversized_lattice_refused_before_allocation(self, monkeypatch):
         # n = 5 at density 50 is 50**6 = 1.6e10 points per retailer.
         market = MarketParams(alpha=-2.0, gamma=0.0, kappa=40.0)
@@ -356,7 +479,7 @@ class TestVerifyEquilibrium:
             raise AssertionError("lattice arrays built before the point budget check")
 
         monkeypatch.setattr(solver, "_grid_axes", forbidden)
-        monkeypatch.setattr(solver, "_utility_grid", forbidden)
+        monkeypatch.setattr(solver, "_own_move_values", forbidden)
         with pytest.raises(ValueError, match="lattice points"):
             verify_equilibrium(model, point, grid_density=50)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from secgame import vi
 from secgame.model import MarketParams, ModelSpec, RetailerParams, TransactionCostParams
 from secgame.scenarios import experiment1, experiment5
 from secgame.vi import (U_CAP, BoxVi, DecisionVector, FdCheckReport, InvestmentVi,
@@ -293,6 +294,44 @@ class TestFdCheck:
         for bad in (1e-8, 1e-3):
             with pytest.raises(ValueError):
                 fd_check(exp1_problem, x, step=bad)
+
+    def test_random_check_rejects_step_before_drawing(self, exp1_problem, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sample drawn before the step was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        with pytest.raises(ValueError, match="step"):
+            fd_check_random(exp1_problem, step=1e-3)
+
+    def test_random_check_reports_its_worst_sample(self, exp1_problem):
+        # The batched pass must pick the same sample and coordinate as
+        # fd_check run on each seeded draw in turn.
+        m, n = 2, 2
+        rng = np.random.default_rng(5)
+        u_hi = np.minimum(0.9, exp1_problem.upper[m * n:] - 2e-5)
+        worst = None
+        for _ in range(30):
+            Q = rng.uniform(1.0, 99.0, size=(m, n))
+            u = rng.uniform(np.minimum(0.02, 0.5 * u_hi), u_hi, size=m)
+            rep = fd_check(exp1_problem, np.concatenate([Q.ravel(), u]))
+            if worst is None or rep.max_rel_error > worst.max_rel_error:
+                worst = rep
+        got = fd_check_random(exp1_problem, points=30, seed=5)
+        assert got.max_rel_error == worst.max_rel_error
+        assert (got.worst_retailer, got.worst_coordinate) == (
+            worst.worst_retailer, worst.worst_coordinate)
+        assert np.array_equal(got.q_errors, worst.q_errors)
+        assert np.array_equal(got.u_errors, worst.u_errors)
+
+    def test_random_check_batches_agree(self, exp1_problem, monkeypatch):
+        # Seven samples per batch (2(n+1)*m*n = 24 values each): the 30 draws
+        # split into five batches and must give the one-batch report.
+        whole = fd_check_random(exp1_problem, points=30, seed=2)
+        monkeypatch.setattr(vi, "_FD_BATCH_VALUES", 7 * 24)
+        split = fd_check_random(exp1_problem, points=30, seed=2)
+        assert split.max_rel_error == whole.max_rel_error
+        assert split.worst_coordinate == whole.worst_coordinate
+        assert np.array_equal(split.q_errors, whole.q_errors)
 
     def test_point_near_boundary_rejected(self, exp1_problem):
         x = DecisionVector(np.full((2, 2), 50.0), np.array([0.0, 0.5]),
