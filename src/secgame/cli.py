@@ -308,6 +308,9 @@ def cmd_sweep(args):
     else:
         if args.param is None or args.start is None or args.stop is None:
             raise SchemaError("sweep", "custom sweeps need --param, --from and --to")
+        for flag, value in (("--from", args.start), ("--to", args.stop)):
+            if not math.isfinite(value):
+                raise SchemaError(flag, "expected a finite number")
         coupling = "shares" if args.param.startswith("t") else "direct"
         if coupling == "shares" and args.scenario not in BUILTIN_SCENARIOS:
             # Shares coupling rebuilds the model from the built-in family,
@@ -349,6 +352,8 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
+    if not (math.isfinite(args.eps) and args.eps >= 0.0):
+        raise SchemaError("--eps", "expected a finite nonnegative number")
     scenario = load_scenario(args.scenario)
     problem, report = solve_scenario(scenario)
     if not report.converged:

@@ -12,6 +12,7 @@ where possible and reported as unreconciled otherwise.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -156,6 +157,8 @@ class SweepSpec:
     coupling: str = "direct"
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError("sweep needs finite start and stop")
         if not self.start < self.stop:
             raise ValueError("sweep needs start < stop")
         if self.steps < 2:
@@ -286,9 +289,9 @@ class SweepResult:
 
 
 def _solve_game(problem, config, x0, record_trace=False):
-    """Solve ``problem`` from the flat (Q, u) point ``x0`` in investment
-    coordinates; the report's solution is mapped back to flat (Q, u) and its
-    residual is the (Q, u) natural residual."""
+    """Solve ``problem`` from the flat (Q, u) point ``x0`` in Jacobi-scaled
+    (z, w) coordinates; the report's solution is mapped back to flat (Q, u)
+    and its residual is the (Q, u) natural residual."""
     view = InvestmentVi(problem)
     report = solve(view, config, x0=view.from_u(x0), record_trace=record_trace)
     report.solution = view.to_u(report.solution)

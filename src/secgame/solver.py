@@ -90,7 +90,7 @@ class SolverReport:
     ``solution`` is the flat iterate (use ViProblem.split for the structured
     view).  ``final_residual`` is the stopping metric: for ``solve``, the
     problem's ``natural_residual`` at ``solution``, which for both ViProblem
-    and InvestmentVi (the (Q, w) view scenario solves run on) is the (Q, u)
+    and InvestmentVi (the (z, w) view scenario solves run on) is the (Q, u)
     natural residual; for ``best_response_solve``, the last sweep's maximum
     block change.  ``beta_retries`` counts shrunken prediction steps of
     ``solve``; it is always 0 for ``best_response_solve``, which takes no

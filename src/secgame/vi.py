@@ -14,12 +14,13 @@ max(0, -(1 - u_x) F2[x]), and ViProblem.split recovers it; the solution set
 is that of the dualized formulation.  The flattened ordering is fixed so
 iterate traces are comparable across implementations.
 
-InvestmentVi is the same game seen in investment coordinates (Q, w) with
-w_x = -ln(1 - u_x), each retailer's security spend.  The change of variable
-is strictly increasing in each player's own level, so the equilibria and the
-KKT points are those of ViProblem; its level block (1 - u) F2 is bounded,
-where F2 itself grows like 1/(1 - u)^2 in slope, so projection contraction
-takes far fewer steps in w.
+InvestmentVi is the same game seen in Jacobi-scaled coordinates (z, w) with
+z = sigma * Q and w_x = -ln(1 - u_x), each retailer's security spend.  Both
+changes of variable are strictly increasing in each player's own variables,
+so the equilibria and the KKT points are those of ViProblem.  Its level
+block (1 - u) F2 is bounded, where F2 itself grows like 1/(1 - u)^2 in
+slope, and its Q block F1 / sigma has unit Jacobian diagonal, so projection
+contraction takes far fewer steps in (z, w).
 """
 
 from __future__ import annotations
@@ -105,14 +106,14 @@ class BoxVi:
         x = np.asarray(x, dtype=float)
         if x.shape != self.lower.shape:
             raise ValueError(f"expected vector of length {self.dim}")
-        return np.clip(x, self.lower, self.upper)
+        return np.minimum(np.maximum(x, self.lower), self.upper)
 
     def natural_residual(self, x, fx=None):
         """Sup-norm of X - P_K[X - F(X)]; zero exactly at VI solutions."""
         x = np.asarray(x, dtype=float)
         if fx is None:
             fx = self.operator(x)
-        return float(np.max(np.abs(x - self.project(x - fx))))
+        return float(np.abs(x - self.project(x - fx)).max())
 
     def contains(self, x, tol=0.0):
         x = np.asarray(x, dtype=float)
@@ -141,34 +142,43 @@ class ViProblem(BoxVi):
         ])
         super().__init__(self._assemble, lower, upper)
         # Pre-fused parameter arrays for the hot path: F1 collapses to
-        # quad_coef * Q + const - price.
+        # quad_coef * Q + const - (alpha * d + gamma * ubar), the price
+        # intercept kappa folded into const.
         self._quad_coef = 2.0 * model.cost_a * model.cost_s - model.alpha_vec
-        self._f1_const = model.c_vec[:, None] + model.cost_b * model.cost_s
+        self._f1_const = (model.c_vec[:, None] + model.cost_b * model.cost_s
+                          - model.kappa_vec)
         self._alpha = model.alpha_vec
         self._gamma = model.gamma_vec
-        self._kappa = model.kappa_vec
         self._gamma_over_m = model.gamma_vec / m
         M = model.mu_vec if model.loss_gradient_includes_multiplier else np.ones(m)
         self._DM = model.D_vec * M
         self._DM_over_m = self._DM / m
 
+    def _blocks(self, Q, u, v):
+        """F1 (m x n) and g (m,) at (Q, u), with v = 1 - u and F2 = 1/v - g.
+
+        The one evaluation both layouts share: operator returns F2 = 1/v - g
+        and InvestmentVi's level block (1 - u) F2 is 1 - v g, which needs no
+        division and stays bounded as u approaches 1.
+        """
+        # A Python sum of the m levels costs a fraction of a numpy reduction.
+        ubar = sum(u.tolist()) / self._m
+        f1 = self._quad_coef * Q
+        f1 += self._f1_const
+        f1 -= self._alpha * Q.sum(axis=0) + self._gamma * ubar
+        g = self._DM * (1.0 - ubar) + self._DM_over_m * v + Q @ self._gamma_over_m
+        return f1, g
+
     def _assemble(self, x):
-        m, n, mn = self._m, self._n, self._mn
-        Q = x[:mn].reshape(m, n)
+        mn = self._mn
         u = x[mn:]
         v = 1.0 - u
         if v.min() <= 0.0:
             raise ValueError("operator undefined at security level >= 1")
-        d = Q.sum(axis=0)
-        ubar = u.sum() / m
-        rho = self._alpha * d + self._gamma * ubar + self._kappa
-        out = np.empty(mn + m)
-        f1 = out[:mn].reshape(m, n)
-        np.multiply(self._quad_coef, Q, out=f1)
-        f1 += self._f1_const
-        f1 -= rho
-        out[mn:] = (1.0 / v - self._DM * (1.0 - ubar)
-                    - self._DM_over_m * v - Q @ self._gamma_over_m)
+        f1, g = self._blocks(x[:mn].reshape(self._m, self._n), u, v)
+        out = np.empty(mn + self._m)
+        out[:mn] = f1.ravel()
+        out[mn:] = 1.0 / v - g
         return out
 
     def split(self, x):
@@ -194,51 +204,65 @@ class ViProblem(BoxVi):
 
 
 class InvestmentVi(BoxVi):
-    """Solve-time view of a ViProblem in investment coordinates (Q, w).
+    """Solve-time view of a ViProblem in Jacobi-scaled coordinates (z, w).
 
-    Box: Q as in the problem, 0 <= w <= -ln(1 - problem.upper[u]), which is
-    min(B, -ln(1 - U_CAP)).  Operator: (F1, (1 - u) F2) evaluated through
-    problem.operator at u = 1 - exp(-w).  natural_residual is the (Q, u)
-    natural residual of the mapped point, so a tolerance keeps its meaning.
-    to_u / from_u convert flat points between the two layouts.
+    z = sigma * Q with sigma[x, y] = sqrt(2 a[x, y] s[x, y] - 2 alpha[y]), the
+    square root of dF1[x, y]/dQ[x, y], and w_x = -ln(1 - u_x), each
+    retailer's security spend.  Box: 0 <= z <= sigma * q_upper and
+    0 <= w <= -ln(1 - problem.upper[u]), which is min(B, -ln(1 - U_CAP)).
+    Operator: (F1 / sigma, (1 - u) F2) from one evaluation of the problem's
+    blocks at Q = z / sigma, u = 1 - exp(-w).  natural_residual is the
+    (Q, u) natural residual of the mapped point, so a tolerance keeps its
+    meaning.  to_u / from_u convert flat points between the two layouts.
     """
 
     def __init__(self, problem: ViProblem):
         self.problem = problem
-        self._mn = problem._mn
-        self._u_upper = problem.upper[self._mn:]
-        upper = problem.upper.copy()
-        upper[self._mn:] = -np.log1p(-self._u_upper)
-        super().__init__(self._level_scaled_operator, problem.lower, upper)
+        model = problem.model
+        m, n, mn = problem._m, problem._n, problem._mn
+        self._m, self._n, self._mn = m, n, mn
+        # Positive and finite: the model requires a >= 0, s > 0, alpha < 0.
+        self._sigma = np.sqrt(2.0 * model.cost_a * model.cost_s - 2.0 * model.alpha_vec)
+        # (sigma, 1): takes Q to z in from_u and F1 / sigma back to F1.
+        self._scale = np.concatenate([self._sigma.ravel(), np.ones(m)])
+        super().__init__(self._scaled_operator, problem.lower, self.from_u(problem.upper))
 
     def to_u(self, x):
-        """Flat (Q, w) point -> flat (Q, u) point inside the problem's box."""
-        out = np.array(x, dtype=float)
-        out[self._mn:] = np.minimum(-np.expm1(-out[self._mn:]), self._u_upper)
-        return out
+        """Flat (z, w) point -> flat (Q, u) point inside the problem's box."""
+        xu = np.asarray(x, dtype=float) / self._scale
+        xu[self._mn:] = -np.expm1(-xu[self._mn:])
+        # One clamp keeps both blocks in the box: z / sigma can round one ulp
+        # above q_upper and 1 - exp(-w) one ulp above the level cap.
+        return np.minimum(xu, self.problem.upper, out=xu)
 
     def from_u(self, x):
-        """Flat (Q, u) point with u < 1 -> flat (Q, w) point."""
-        out = np.array(x, dtype=float)
+        """Flat (Q, u) point with u < 1 -> flat (z, w) point."""
+        out = np.asarray(x, dtype=float) * self._scale
         out[self._mn:] = -np.log1p(-out[self._mn:])
         return out
 
-    def _level_scaled_operator(self, x):
+    def _scaled_operator(self, x):
+        m, n, mn = self._m, self._n, self._mn
         xu = self.to_u(x)
-        out = self.problem.operator(xu)
-        out[self._mn:] *= 1.0 - xu[self._mn:]
+        u = xu[mn:]
+        v = 1.0 - u
+        f1, g = self.problem._blocks(xu[:mn].reshape(m, n), u, v)
+        out = np.empty(mn + m)
+        np.divide(f1, self._sigma, out=out[:mn].reshape(m, n))
+        out[mn:] = 1.0 - v * g
         return out
 
     def natural_residual(self, x, fx=None):
         """Sup-norm (Q, u) natural residual at the mapped point.
 
-        ``fx`` is this view's operator value at ``x``; dividing its level
-        block by (1 - u) recovers F2 without another evaluation.
+        ``fx`` is this view's operator value at ``x``; multiplying its Q
+        block by sigma and dividing its level block by (1 - u) recovers
+        (F1, F2) without another evaluation.
         """
-        xu = self.to_u(x)
         if fx is None:
-            return self.problem.natural_residual(xu)
-        fu = np.array(fx, dtype=float)
+            fx = self.operator(x)
+        xu = self.to_u(x)
+        fu = fx * self._scale
         fu[self._mn:] /= 1.0 - xu[self._mn:]
         return self.problem.natural_residual(xu, fu)
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -232,8 +233,29 @@ class TestSweepCommand:
         assert run(["sweep", "--param", "Z1", "--from", "1", "--to", "2",
                     "--steps", "2"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("flag, bounds", [
+        ("--to", ["120", "inf"]),
+        ("--from", ["nan", "160"]),
+    ])
+    def test_non_finite_bound_names_the_option(self, capsys, flag, bounds):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["sweep", "--param", "D1", "--from", bounds[0], "--to", bounds[1]])
+        assert code == EXIT_VALIDATION
+        assert f"error: {flag}: expected a finite number" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1e-3"])
+    def test_bad_eps_is_validation_error(self, capsys, monkeypatch, eps):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scenario solved before --eps was checked")
+
+        monkeypatch.setattr(cli, "solve_scenario", forbidden)
+        assert run(["verify", "exp1", f"--eps={eps}"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "error: --eps: expected a finite nonnegative number" in err
+
     def test_certifies_good_solve(self, capsys):
         assert run(["verify", "exp1", "--grid", "30"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -154,6 +154,13 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(experiment1(), "B1", 2.0, 3.0, 5, coupling="weird")
 
+    @pytest.mark.parametrize("start, stop", [
+        (2.0, np.inf), (-np.inf, 3.0), (np.nan, 3.0), (2.0, np.nan),
+    ])
+    def test_non_finite_range(self, start, stop):
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec(experiment1(), "B1", start, stop, 5)
+
     def test_grid(self):
         spec = SweepSpec(experiment1(), "B1", 2.0, 3.0, 3)
         assert np.allclose(spec.grid(), [2.0, 2.5, 3.0])
@@ -179,11 +186,21 @@ class TestRunSweep:
 
     def test_budget_sweep_iteration_count(self):
         # Iteration counts are deterministic, so they gate the cost of the
-        # budget-binding rows: the 31 rows take 1 885 iterations.
+        # budget-binding rows: the 31 rows take 694 iterations.
         result = run_sweep(builtin_sweep("exp2"))
         assert len(result.rows) == 31
         assert all(r.converged for r in result.rows)
-        assert sum(r.iterations for r in result.rows) <= 5_000
+        assert sum(r.iterations for r in result.rows) <= 1_000
+
+    @pytest.mark.parametrize("name, rows, gate", [
+        ("exp3", 81, 1_100),  # 722 iterations
+        ("exp4", 18, 500),    # 313 iterations
+    ])
+    def test_sweep_iteration_count(self, name, rows, gate):
+        result = run_sweep(builtin_sweep(name))
+        assert len(result.rows) == rows
+        assert all(r.converged for r in result.rows)
+        assert sum(r.iterations for r in result.rows) <= gate
 
     def test_rows_flagged_when_not_converged(self):
         base = experiment1()
@@ -284,11 +301,11 @@ class TestSeries:
 class TestSolveScenario:
     @pytest.mark.parametrize("scenario", [experiment1, experiment5])
     def test_iteration_count(self, scenario):
-        # Deterministic count gate on the solve in investment coordinates:
-        # exp1 takes 84 iterations, exp5 94.
+        # Deterministic count gate on the solve in Jacobi-scaled (z, w)
+        # coordinates: exp1 takes 33 iterations, exp5 37.
         _, report = solve_scenario(scenario())
         assert report.converged
-        assert report.iterations <= 150
+        assert report.iterations <= 50
 
     def test_exp1_converges_quickly(self):
         problem, report = solve_scenario(experiment1())

@@ -7,6 +7,7 @@ from dataclasses import replace
 from secgame import vi
 from secgame.model import MarketParams, ModelSpec, RetailerParams, TransactionCostParams
 from secgame.scenarios import experiment1, experiment5
+from secgame.solver import SolverConfig, solve
 from secgame.vi import (U_CAP, BoxVi, DecisionVector, FdCheckReport, InvestmentVi,
                         ViProblem, fd_check, fd_check_random)
 
@@ -185,15 +186,26 @@ def random_points(problem, rng, count, u_max=0.99):
                             rng.uniform(0.0, u_hi)]) for _ in range(count)]
 
 
+def jacobi_scale(problem):
+    """sigma = sqrt(dF1[x, y]/dQ[x, y]) = sqrt(2 a s - 2 alpha), flat like Q."""
+    model = problem.model
+    return np.sqrt(2.0 * model.cost_a * model.cost_s - 2.0 * model.alpha_vec).ravel()
+
+
+def scaled_error(got, want):
+    """Sup-norm error relative to max(1, |want|): absolute on the levels."""
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
 class TestInvestmentVi:
     def test_box_maps_onto_the_problem_box(self, exp1_problem):
         view = InvestmentVi(exp1_problem)
         assert np.array_equal(view.lower, exp1_problem.lower)
-        assert np.array_equal(view.upper[:4], exp1_problem.upper[:4])
+        assert np.array_equal(view.upper[:4], jacobi_scale(exp1_problem) * 100.0)
         # The budget -ln(1 - u) <= B is the bound w <= B itself.
         assert view.upper[4:] == pytest.approx([5.28, 3.72], rel=1e-14)
         assert np.array_equal(view.to_u(view.lower), exp1_problem.lower)
-        assert np.allclose(view.to_u(view.upper), exp1_problem.upper, rtol=0.0, atol=1e-15)
+        assert scaled_error(view.to_u(view.upper), exp1_problem.upper) <= 1e-15
         assert np.all(view.to_u(view.upper) <= exp1_problem.upper)
 
     def test_large_budget_leaves_level_cap(self):
@@ -205,22 +217,54 @@ class TestInvestmentVi:
 
     def test_round_trip(self, exp1_problem):
         view = InvestmentVi(exp1_problem)
+        sigma = jacobi_scale(exp1_problem)
         rng = np.random.default_rng(11)
         for x in random_points(exp1_problem, rng, 200, u_max=exp1_problem.upper[4]):
-            w = view.from_u(x)
-            assert np.array_equal(w[:4], x[:4])
-            assert np.max(np.abs(view.to_u(w) - x)) <= 1e-15
+            y = view.from_u(x)
+            assert np.array_equal(y[:4], sigma * x[:4])
+            assert scaled_error(view.to_u(y), x) <= 1e-15
 
     def test_level_block_is_scaled_f2(self, exp1_problem):
         view = InvestmentVi(exp1_problem)
+        sigma = jacobi_scale(exp1_problem)
         rng = np.random.default_rng(12)
         for x in random_points(exp1_problem, rng, 50):
-            w = view.from_u(x)
-            xu = view.to_u(w)
+            y = view.from_u(x)
+            xu = view.to_u(y)
             F = exp1_problem.operator(xu)
-            G = view.operator(w)
-            assert np.array_equal(G[:4], F[:4])
+            G = view.operator(y)
+            assert np.array_equal(G[:4], F[:4] / sigma)
             assert G[4:] == pytest.approx((1.0 - xu[4:]) * F[4:], rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("build", [
+        lambda: experiment1().model, lambda: experiment5().model, degenerate_linear_model,
+    ], ids=["exp1", "exp5", "linear-costs"])
+    def test_quantity_block_has_unit_diagonal(self, build):
+        # sigma^2 is the Q-block diagonal of the problem's Jacobian, so the
+        # view's Q block has unit diagonal.  F1 is affine in Q, so central
+        # differences are exact up to rounding.
+        problem = ViProblem(build())
+        view = InvestmentVi(problem)
+        mn, h = problem._mn, 1e-3
+        y = view.from_u(random_points(problem, np.random.default_rng(14), 1)[0])
+        for k in range(mn):
+            e = np.zeros(view.dim)
+            e[k] = h
+            diag = (view.operator(y + e)[k] - view.operator(y - e)[k]) / (2.0 * h)
+            assert diag == pytest.approx(1.0, rel=1e-9)
+
+    def test_linear_costs_keep_the_scale_finite(self):
+        # a = 0 leaves sigma = sqrt(-2 alpha): positive and finite.
+        problem = ViProblem(degenerate_linear_model())
+        view = InvestmentVi(problem)
+        sigma = np.tile(np.sqrt([0.2, 0.4]), 2)
+        assert np.all(np.isfinite(view.upper)) and np.all(view.upper[:4] > 0.0)
+        assert view.upper[:4] == pytest.approx(sigma * 5.0, rel=1e-15)
+        cfg = SolverConfig(tol=1e-9)
+        report = solve(view, cfg)
+        direct = solve(problem, cfg, x0=view.to_u(view.default_start()))
+        assert report.converged and direct.converged
+        assert np.max(np.abs(view.to_u(report.solution) - direct.solution)) <= 1e-8
 
     def test_natural_residual_is_that_of_the_mapped_point(self, exp1_problem):
         view = InvestmentVi(exp1_problem)
