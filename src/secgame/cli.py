@@ -304,6 +304,14 @@ def cmd_sweep(args):
         if args.name not in BUILTIN_SWEEPS:
             raise SchemaError(args.name,
                               f"unknown sweep; builtins: {list(BUILTIN_SWEEPS)}")
+        # A built-in sweep fixes its scenario and grid; a given option would
+        # otherwise be dropped without a word.
+        for flag, value in (("--param", args.param), ("--from", args.start),
+                            ("--to", args.stop), ("--steps", args.steps),
+                            ("--scenario", args.scenario)):
+            if value is not None:
+                raise SchemaError(flag, f"not accepted with the built-in sweep "
+                                        f"{args.name}, which fixes its own grid")
         spec = builtin_sweep(args.name)
     else:
         if args.param is None or args.start is None or args.stop is None:
@@ -311,16 +319,18 @@ def cmd_sweep(args):
         for flag, value in (("--from", args.start), ("--to", args.stop)):
             if not math.isfinite(value):
                 raise SchemaError(flag, "expected a finite number")
+        scenario = "exp1" if args.scenario is None else args.scenario
+        steps = 31 if args.steps is None else args.steps
         coupling = "shares" if args.param.startswith("t") else "direct"
-        if coupling == "shares" and args.scenario not in BUILTIN_SCENARIOS:
+        if coupling == "shares" and scenario not in BUILTIN_SCENARIOS:
             # Shares coupling rebuilds the model from the built-in family,
             # which would silently replace the file's markets and costs.
             raise SchemaError("--param", f"{args.param}: shares coupling is defined only "
                               f"for the built-in scenario family, not for "
-                              f"{args.scenario!r}")
-        base = load_scenario(args.scenario)
+                              f"{scenario!r}")
+        base = load_scenario(scenario)
         try:
-            spec = SweepSpec(base, args.param, args.start, args.stop, args.steps,
+            spec = SweepSpec(base, args.param, args.start, args.stop, steps,
                              coupling=coupling)
         except ValueError as exc:
             raise SchemaError("sweep", str(exc)) from exc
@@ -406,12 +416,14 @@ def build_parser():
     p_sweep = sub.add_parser("sweep", help="solve along a parameter grid, emit CSV")
     p_sweep.add_argument("name", nargs="?", default=None,
                          help="builtin sweep name (exp2, exp3, exp4)")
-    p_sweep.add_argument("--scenario", default="exp1",
+    # The custom-sweep options default to None so that cmd_sweep can refuse
+    # them next to a built-in name.
+    p_sweep.add_argument("--scenario",
                          help="base scenario for custom sweeps (default exp1)")
     p_sweep.add_argument("--param", help="parameter path, e.g. B1, D1, t1")
     p_sweep.add_argument("--from", dest="start", type=float, help="first grid value")
     p_sweep.add_argument("--to", dest="stop", type=float, help="last grid value")
-    p_sweep.add_argument("--steps", type=int, default=31, help="grid points")
+    p_sweep.add_argument("--steps", type=int, help="grid points (default 31)")
     p_sweep.add_argument("--out", help="CSV output path (default: stdout)")
 
     p_verify = sub.add_parser("verify", help="audit a solved scenario by grid search")

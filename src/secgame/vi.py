@@ -16,11 +16,14 @@ iterate traces are comparable across implementations.
 
 InvestmentVi is the same game seen in Jacobi-scaled coordinates (z, w) with
 z = sigma * Q and w_x = -ln(1 - u_x), each retailer's security spend.  Both
-changes of variable are strictly increasing in each player's own variables,
-so the equilibria and the KKT points are those of ViProblem.  Its level
-block (1 - u) F2 is bounded, where F2 itself grows like 1/(1 - u)^2 in
-slope, and its Q block F1 / sigma has unit Jacobian diagonal, so projection
-contraction takes far fewer steps in (z, w).
+changes of variable are strictly increasing in each player's own variables.
+Its Q block F1 / sigma has unit Jacobian diagonal.  Its level block is
+the level condition 1/(1 - u) = g (g the marginal security benefit) in log
+form, w - ln max(g, 1), which meets the box-VI conditions exactly where
+F2 = 1/(1 - u) - g does, so the equilibria and the KKT points are those of
+ViProblem.  F2 grows like 1/(1 - u)^2 in slope; the log form's slope in w
+is at least 1 and bounded over the whole box, so projection contraction
+takes far fewer steps in (z, w).
 """
 
 from __future__ import annotations
@@ -158,8 +161,8 @@ class ViProblem(BoxVi):
         """F1 (m x n) and g (m,) at (Q, u), with v = 1 - u and F2 = 1/v - g.
 
         The one evaluation both layouts share: operator returns F2 = 1/v - g
-        and InvestmentVi's level block (1 - u) F2 is 1 - v g, which needs no
-        division and stays bounded as u approaches 1.
+        and InvestmentVi's level block is w - ln max(g, 1), the level
+        condition 1/v = g in log form.
         """
         # A Python sum of the m levels costs a fraction of a numpy reduction.
         ubar = sum(u.tolist()) / self._m
@@ -210,10 +213,26 @@ class InvestmentVi(BoxVi):
     square root of dF1[x, y]/dQ[x, y], and w_x = -ln(1 - u_x), each
     retailer's security spend.  Box: 0 <= z <= sigma * q_upper and
     0 <= w <= -ln(1 - problem.upper[u]), which is min(B, -ln(1 - U_CAP)).
-    Operator: (F1 / sigma, (1 - u) F2) from one evaluation of the problem's
-    blocks at Q = z / sigma, u = 1 - exp(-w).  natural_residual is the
-    (Q, u) natural residual of the mapped point, so a tolerance keeps its
-    meaning.  to_u / from_u convert flat points between the two layouts.
+    Operator: (F1 / sigma, G) with G = w - ln max(g, 1), from one evaluation
+    of the problem's blocks at Q = z / sigma, u = 1 - exp(-w).
+    natural_residual is the (Q, u) natural residual of the mapped point, so
+    a tolerance keeps its meaning.  to_u / from_u convert flat points
+    between the two layouts.
+
+    G and F2 = 1/v - g (v = 1 - u) give the same solutions because each
+    level coordinate meets the box-VI conditions for G exactly when it
+    meets them for F2:
+
+    * where g > 1, G = -ln(v g) has the sign of F2;
+    * where g <= 1, F2 >= 1 - g >= 0 and G = w >= 0: both satisfy the
+      lower-bound condition at w = 0 and both are positive for w > 0.
+
+    The floor 1 is where the target ln g meets the bound w = 0, not a tuning
+    constant: a larger floor would flip the sign for 1 < g < floor.  It also
+    keeps ln away from g <= 0 (no losses, D = 0, or a negative gamma).
+    dG/dw_x = 1 + 2 D M v / (m g) where g > 1: at least 1, and at most 3
+    when gamma >= 0 because then g >= D M v / m.  So the view is well scaled
+    over the whole box, not only near a solution.
     """
 
     def __init__(self, problem: ViProblem):
@@ -249,21 +268,23 @@ class InvestmentVi(BoxVi):
         f1, g = self.problem._blocks(xu[:mn].reshape(m, n), u, v)
         out = np.empty(mn + m)
         np.divide(f1, self._sigma, out=out[:mn].reshape(m, n))
-        out[mn:] = 1.0 - v * g
+        np.subtract(x[mn:], np.log(np.maximum(g, 1.0, out=g), out=g), out=out[mn:])
         return out
 
     def natural_residual(self, x, fx=None):
         """Sup-norm (Q, u) natural residual at the mapped point.
 
         ``fx`` is this view's operator value at ``x``; multiplying its Q
-        block by sigma and dividing its level block by (1 - u) recovers
-        (F1, F2) without another evaluation.
+        block by sigma recovers F1, and -expm1(-G) / v = 1/v - max(g, 1)
+        recovers the level block without another evaluation.  That is F2
+        where g >= 1; where g < 1 both it and F2 are at least u / v >= u, so
+        the level's natural residual is u either way.
         """
         if fx is None:
             fx = self.operator(x)
         xu = self.to_u(x)
         fu = fx * self._scale
-        fu[self._mn:] /= 1.0 - xu[self._mn:]
+        fu[self._mn:] = -np.expm1(-fu[self._mn:]) / (1.0 - xu[self._mn:])
         return self.problem.natural_residual(xu, fu)
 
 

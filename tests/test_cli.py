@@ -245,6 +245,28 @@ class TestSweepCommand:
         assert f"error: {flag}: expected a finite number" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("option", [
+        ["--param", "Z9"], ["--from", "inf"], ["--to", "nan"], ["--steps", "1"],
+        ["--scenario", "exp5"],
+    ], ids=["param", "from", "to", "steps", "scenario"])
+    def test_builtin_sweep_refuses_grid_options(self, capsys, monkeypatch, option):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sweep solved before its options were checked")
+
+        monkeypatch.setattr(cli, "run_sweep", forbidden)
+        assert run(["sweep", "exp4"] + option) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"error: {option[0]}: not accepted with the built-in sweep exp4" in err
+
+    def test_custom_sweep_defaults(self, capsys, monkeypatch):
+        seen = []
+        real_run_sweep = cli.run_sweep
+        monkeypatch.setattr(cli, "run_sweep",
+                            lambda spec: seen.append(spec) or real_run_sweep(spec))
+        assert run(["sweep", "--param", "D1", "--from", "150", "--to", "160"]) == EXIT_OK
+        assert seen[0].steps == 31 and seen[0].scenario.name == "exp1"
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize("eps", ["nan", "inf", "-1e-3"])
     def test_bad_eps_is_validation_error(self, capsys, monkeypatch, eps):
