@@ -25,7 +25,7 @@ from .model import MarketParams, ModelSpec, RetailerParams, TransactionCostParam
 from .scenarios import (BUILTIN_SCENARIOS, BUILTIN_SWEEPS, CROSSING_BANDS,
                         REFERENCE_TARGETS, Scenario, SweepSpec, builtin_sweep,
                         crossing_reconciliation, find_crossing, reconciliation_report,
-                        run_sweep, scenario_by_name, solve_scenario)
+                        run_sweep, scenario_by_name, solution_row, solve_scenario)
 from .solver import SolverConfig, SolverNumericError, verify_equilibrium
 from .vi import DecisionVector, ViProblem, fd_check_random
 
@@ -132,20 +132,24 @@ def scenario_from_data(data, name="scenario"):
     except ValueError as exc:
         raise SchemaError(mpath, str(exc)) from exc
 
+    ipath = f"{name}.initial"
+    x0 = None
     if "initial" in data:
         idata = data["initial"]
-        ipath = f"{name}.initial"
-        _check_keys(idata, ipath, required=("Q", "u", "lambda"))
+        _check_keys(idata, ipath, required=("Q", "u"), optional=("lambda",))
         try:
             x0 = DecisionVector(np.array(idata["Q"], dtype=float),
-                                np.array(idata["u"], dtype=float),
-                                np.array(idata["lambda"], dtype=float))
+                                np.array(idata["u"], dtype=float))
+            lam = np.array(idata.get("lambda", x0.lam), dtype=float)
         except (TypeError, ValueError) as exc:
             raise SchemaError(ipath, str(exc)) from exc
-        if not all(np.all(np.isfinite(v)) for v in (x0.Q, x0.u, x0.lam)):
+        if not (np.all(np.isfinite(x0.Q)) and np.all(np.isfinite(x0.u))):
             raise SchemaError(ipath, "expected finite numbers")
-    else:
-        x0 = DecisionVector(np.ones((m, n)), np.zeros(m), np.zeros(m))
+        # The multipliers are recovered from each solution, so a given lambda
+        # is validated but does not enter the start.
+        if lam.shape != x0.u.shape or not np.all(np.isfinite(lam) & (lam >= 0.0)):
+            raise SchemaError(f"{ipath}.lambda",
+                              "expected finite nonnegative numbers, one per retailer")
 
     config = SolverConfig()
     if "solver" in data:
@@ -167,7 +171,7 @@ def scenario_from_data(data, name="scenario"):
     try:
         return Scenario(name, model, x0, config)
     except ValueError as exc:
-        raise SchemaError(name, str(exc)) from exc
+        raise SchemaError(ipath, str(exc)) from exc
 
 
 def load_scenario(source):
@@ -206,7 +210,6 @@ def scenario_to_data(scenario: Scenario):
         "initial": {
             "Q": scenario.x0.Q.tolist(),
             "u": scenario.x0.u.tolist(),
-            "lambda": scenario.x0.lam.tolist(),
         },
         "solver": {
             "beta0": scenario.config.beta0,
@@ -224,12 +227,13 @@ def _num(v):
     return repr(float(v))
 
 
-def _solution_fields(model, point, eu, residual, iterations, converged):
-    cells = [_num(point.u[i]) for i in range(model.m)]
-    cells += [_num(point.Q[i, j]) for i in range(model.m) for j in range(model.n)]
-    cells += [_num(point.lam[i]) for i in range(model.m)]
-    cells += [_num(eu[i]) for i in range(model.m)]
-    cells += [_num(residual), str(int(iterations)), "true" if converged else "false"]
+def _solution_fields(model, row):
+    cells = [_num(row.u[i]) for i in range(model.m)]
+    cells += [_num(row.Q[i, j]) for i in range(model.m) for j in range(model.n)]
+    cells += [_num(row.lam[i]) for i in range(model.m)]
+    cells += [_num(row.eu[i]) for i in range(model.m)]
+    cells += [_num(row.residual), str(int(row.iterations)),
+              "true" if row.converged else "false"]
     return cells
 
 
@@ -247,7 +251,7 @@ def _write_lines(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def _print_solution_table(scenario, point, eu, report, out=None):
+def _print_solution_table(scenario, row, report, out=None):
     out = out if out is not None else sys.stdout
     model = scenario.model
     print(f"scenario: {scenario.name}  ({model.m} retailers x {model.n} markets)",
@@ -260,26 +264,22 @@ def _print_solution_table(scenario, point, eu, report, out=None):
         f"{'Q->mkt ' + str(j + 1):>12}" for j in range(model.n))
     print(header, file=out)
     for i in range(model.m):
-        qvals = "  ".join(f"{point.Q[i, j]:12.6f}" for j in range(model.n))
-        print(f"{i + 1:>8} {point.u[i]:12.6f} {point.lam[i]:12.6f} "
-              f"{eu[i]:14.4f}  {qvals}", file=out)
-    print(f"network mean security: {point.u.mean():.6f}", file=out)
+        qvals = "  ".join(f"{row.Q[i, j]:12.6f}" for j in range(model.n))
+        print(f"{i + 1:>8} {row.u[i]:12.6f} {row.lam[i]:12.6f} "
+              f"{row.eu[i]:14.4f}  {qvals}", file=out)
+    print(f"network mean security: {row.u.mean():.6f}", file=out)
 
 
 def cmd_solve(args):
     scenario = load_scenario(args.scenario)
     problem, report = solve_scenario(scenario, record_trace=args.trace is not None)
-    point = problem.split(report.solution)
-    eu = np.array([scenario.model.expected_utility(i, point.Q, point.u)
-                   for i in range(scenario.model.m)])
-    _print_solution_table(scenario, point, eu, report)
+    row = solution_row(problem, report)
+    _print_solution_table(scenario, row, report)
     if scenario.name in REFERENCE_TARGETS:
-        print(reconciliation_report(scenario, point, report))
+        print(reconciliation_report(scenario, row, report))
     if args.out:
-        header = _solution_header(scenario.model)
-        row = _solution_fields(scenario.model, point, eu, report.final_residual,
-                               report.iterations, report.converged)
-        _write_lines(args.out, [",".join(header), ",".join(row)])
+        _write_lines(args.out, [",".join(_solution_header(scenario.model)),
+                                ",".join(_solution_fields(scenario.model, row))])
     if args.trace is not None:
         lines = ["iteration,residual,beta,r"]
         lines += [f"{k},{_num(res)},{_num(beta)},{_num(r)}"
@@ -293,9 +293,7 @@ def _sweep_csv_lines(result):
     header = ["param"] + _solution_header(model)
     lines = [",".join(header)]
     for row in result.rows:
-        cells = [_num(row.value)] + _solution_fields(model, DecisionVector(
-            row.Q, row.u, row.lam), row.eu, row.residual, row.iterations, row.converged)
-        lines.append(",".join(cells))
+        lines.append(",".join([_num(row.value)] + _solution_fields(model, row)))
     return lines
 
 
@@ -321,17 +319,15 @@ def cmd_sweep(args):
                 raise SchemaError(flag, "expected a finite number")
         scenario = "exp1" if args.scenario is None else args.scenario
         steps = 31 if args.steps is None else args.steps
-        coupling = "shares" if args.param.startswith("t") else "direct"
-        if coupling == "shares" and scenario not in BUILTIN_SCENARIOS:
-            # Shares coupling rebuilds the model from the built-in family,
-            # which would silently replace the file's markets and costs.
+        if args.param.startswith("t") and scenario not in BUILTIN_SCENARIOS:
+            # A share sweep rebuilds the model from the built-in family, which
+            # a file's markets and costs need not belong to.
             raise SchemaError("--param", f"{args.param}: shares coupling is defined only "
                               f"for the built-in scenario family, not for "
                               f"{scenario!r}")
         base = load_scenario(scenario)
         try:
-            spec = SweepSpec(base, args.param, args.start, args.stop, steps,
-                             coupling=coupling)
+            spec = SweepSpec(base, args.param, args.start, args.stop, steps)
         except ValueError as exc:
             raise SchemaError("sweep", str(exc)) from exc
 

@@ -34,6 +34,7 @@ __all__ = [
     "builtin_sweep",
     "solve_scenario",
     "apply_parameter",
+    "solution_row",
     "run_sweep",
     "find_crossing",
     "reconciliation_report",
@@ -75,19 +76,23 @@ MARKET_COST_LIN = (2.0, 2.0)
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named game plus its initial point and solver configuration."""
+    """A named game plus its initial point (ViProblem.default_start when
+    omitted) and solver configuration."""
 
     name: str
     model: ModelSpec
-    x0: DecisionVector
+    x0: DecisionVector = None
     config: SolverConfig = SolverConfig()
 
     def __post_init__(self):
-        if self.x0.Q.shape != (self.model.m, self.model.n):
+        m, n = self.model.m, self.model.n
+        if self.x0 is None:
+            x0 = ViProblem(self.model).default_start()
+            object.__setattr__(self, "x0", DecisionVector(x0[:m * n].reshape(m, n), x0[m * n:]))
+        if self.x0.Q.shape != (m, n):
             raise ValueError("initial point shape does not match the model")
         if (np.any(self.x0.Q < 0) or np.any(self.x0.Q > self.model.q_upper)
-                or np.any(self.x0.u < 0) or np.any(self.x0.u >= 1.0)
-                or np.any(self.x0.lam < 0)):
+                or np.any(self.x0.u < 0) or np.any(self.x0.u >= 1.0)):
             raise ValueError("initial point is infeasible")
 
 
@@ -111,21 +116,14 @@ def experiment_model(shares, q_upper=100.0, loss_gradient_includes_multiplier=Tr
                      loss_gradient_includes_multiplier=loss_gradient_includes_multiplier)
 
 
-def _default_start(model):
-    return DecisionVector(np.ones((model.m, model.n)), np.zeros(model.m),
-                          np.zeros(model.m))
-
-
 def experiment1():
     """Two retailers (shares 0.76 / 0.24), two markets."""
-    model = experiment_model((0.76, 0.24))
-    return Scenario("exp1", model, _default_start(model))
+    return Scenario("exp1", experiment_model((0.76, 0.24)))
 
 
 def experiment5():
     """Three retailers (shares 0.71 / 0.20 / 0.09), same market structure."""
-    model = experiment_model((0.71, 0.20, 0.09))
-    return Scenario("exp5", model, _default_start(model))
+    return Scenario("exp5", experiment_model((0.71, 0.20, 0.09)))
 
 
 BUILTIN_SCENARIOS = {"exp1": experiment1, "exp5": experiment5}
@@ -143,10 +141,8 @@ def scenario_by_name(name):
 class SweepSpec:
     """One-parameter sensitivity sweep over a base scenario.
 
-    ``param`` names a retailer-indexed quantity such as "B1", "D1" or "t1".
-    ``coupling`` is "direct" (overwrite the raw field) or "shares" (treat the
-    value as retailer 1's market share in a duopoly, set the rival share to
-    its complement and rebuild every share-derived parameter).
+    ``param`` names a retailer-indexed quantity such as "B1", "D1" or "t1";
+    apply_parameter sets it at each grid value.
     """
 
     scenario: Scenario
@@ -154,7 +150,6 @@ class SweepSpec:
     start: float
     stop: float
     steps: int
-    coupling: str = "direct"
 
     def __post_init__(self):
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
@@ -163,35 +158,32 @@ class SweepSpec:
             raise ValueError("sweep needs start < stop")
         if self.steps < 2:
             raise ValueError("sweep needs at least 2 steps")
-        if self.coupling not in ("direct", "shares"):
-            raise ValueError("coupling must be 'direct' or 'shares'")
         parse_param(self.param, self.scenario.model.m)
 
     def grid(self):
         return np.linspace(self.start, self.stop, self.steps)
 
 
-# Sweeps mirror the sensitivity experiments: budget, attack loss and market
-# share of retailer 1.  The tight tolerance keeps complementary slackness of
-# the recovered multipliers inside its audited bound on rows where the budget
-# binds; the higher iteration cap leaves room for slowly converging rows.
-_SWEEP_CONFIG = SolverConfig(tol=1e-9, max_iter=1_000_000)
+# Sweeps mirror the sensitivity experiments over exp1: budget, attack loss
+# and market share of retailer 1, as (param, start, stop, steps).
+BUILTIN_SWEEPS = {
+    "exp2": ("B1", 2.0, 3.5, 31),
+    "exp3": ("D1", 120.0, 200.0, 81),
+    "exp4": ("t1", 0.55, 0.89, 18),
+}
+
+# The tight tolerance keeps complementary slackness of the recovered
+# multipliers inside its audited bound on rows where the budget binds.
+_SWEEP_CONFIG = SolverConfig(tol=1e-9)
 
 
 def builtin_sweep(name):
-    if name == "exp2":
-        base = replace(experiment1(), config=_SWEEP_CONFIG)
-        return SweepSpec(base, "B1", 2.0, 3.5, 31)
-    if name == "exp3":
-        base = replace(experiment1(), config=_SWEEP_CONFIG)
-        return SweepSpec(base, "D1", 120.0, 200.0, 81)
-    if name == "exp4":
-        base = replace(experiment1(), config=_SWEEP_CONFIG)
-        return SweepSpec(base, "t1", 0.55, 0.89, 18, coupling="shares")
-    raise ValueError(f"unknown sweep {name!r}; builtins: ['exp2', 'exp3', 'exp4']")
-
-
-BUILTIN_SWEEPS = ("exp2", "exp3", "exp4")
+    try:
+        grid = BUILTIN_SWEEPS[name]
+    except KeyError:
+        raise ValueError(f"unknown sweep {name!r}; builtins: "
+                         f"{sorted(BUILTIN_SWEEPS)}") from None
+    return SweepSpec(replace(experiment1(), config=_SWEEP_CONFIG), *grid)
 
 _PARAM_RE = re.compile(r"^([A-Za-z]+)([0-9]+)$")
 _SWEEPABLE_FIELDS = ("B", "D", "c", "mu", "t")
@@ -210,33 +202,31 @@ def parse_param(param, m):
     return fld, idx - 1
 
 
-def apply_parameter(scenario: Scenario, param, value, coupling="direct"):
+def apply_parameter(scenario: Scenario, param, value):
     """Return a scenario with one parameter replaced.
 
-    Direct coupling overwrites the raw retailer field.  Shares coupling is
-    for duopoly market-share sweeps: both retailers' share-derived
-    parameters are rebuilt with shares (value, 1 - value).
+    A market share "tN" rebuilds both retailers of a duopoly from the
+    built-in family with shares (value, 1 - value); the share itself is
+    metadata that no model function reads.  The model must be the member of
+    that family its own shares give, or ValueError is raised rather than
+    the model swapped.  Every other field overwrites the raw retailer value.
     """
-    fld, idx = parse_param(param, scenario.model.m)
-    if coupling == "shares":
-        if fld != "t":
-            raise ValueError("shares coupling only applies to t parameters")
-        if scenario.model.m != 2:
-            raise ValueError("shares coupling is defined for two retailers")
-        shares = [0.0, 0.0]
-        shares[idx] = value
-        shares[1 - idx] = 1.0 - value
-        model = experiment_model(
-            tuple(shares), q_upper=scenario.model.q_upper,
-            loss_gradient_includes_multiplier=scenario.model.loss_gradient_includes_multiplier)
-    elif coupling == "direct":
-        if fld == "t" and not 0.0 <= value <= 1.0:
-            raise ValueError("market share must lie in [0, 1]")
-        retailers = list(scenario.model.retailers)
-        retailers[idx] = replace(retailers[idx], **{fld: value})
-        model = replace(scenario.model, retailers=tuple(retailers))
+    model = scenario.model
+    fld, idx = parse_param(param, model.m)
+    if fld == "t":
+        if model.m != 2:
+            raise ValueError("market-share parameters are defined for two retailers")
+        kw = {"q_upper": model.q_upper,
+              "loss_gradient_includes_multiplier": model.loss_gradient_includes_multiplier}
+        if experiment_model(tuple(r.t for r in model.retailers), **kw) != model:
+            raise ValueError("market-share parameters rebuild the built-in scenario "
+                             "family, and this model is not a member of it")
+        shares = (value, 1.0 - value) if idx == 0 else (1.0 - value, value)
+        model = experiment_model(shares, **kw)
     else:
-        raise ValueError("coupling must be 'direct' or 'shares'")
+        retailers = list(model.retailers)
+        retailers[idx] = replace(retailers[idx], **{fld: value})
+        model = replace(model, retailers=tuple(retailers))
     return replace(scenario, model=model)
 
 
@@ -283,10 +273,6 @@ class SweepResult:
             return np.array([getattr(r, arrs)[i] for r in rows])
         raise KeyError(f"unknown series {name!r}")
 
-    @property
-    def converged_mask(self):
-        return np.array([r.converged for r in self.rows])
-
 
 def _solve_game(problem, config, x0, record_trace=False):
     """Solve ``problem`` from the flat (Q, u) point ``x0`` in Jacobi-scaled
@@ -305,7 +291,8 @@ def solve_scenario(scenario: Scenario, record_trace=False):
     return problem, report
 
 
-def _row_from_report(problem, value, report):
+def solution_row(problem, report, value=math.nan):
+    """The solution record (u, Q, lambda, EU and solve status) of one solve."""
     point = problem.split(report.solution)
     model = problem.model
     eu = np.array([model.expected_utility(x, point.Q, point.u) for x in range(model.m)])
@@ -325,11 +312,11 @@ def run_sweep(spec: SweepSpec, warm_start=True):
     rows = []
     prev = None
     for value in spec.grid():
-        scen = apply_parameter(spec.scenario, spec.param, float(value), spec.coupling)
+        scen = apply_parameter(spec.scenario, spec.param, float(value))
         problem = ViProblem(scen.model)
-        start = problem.project(prev) if prev is not None else scen.x0.flat()
-        report = _solve_game(problem, scen.config, start)
-        rows.append(_row_from_report(problem, value, report))
+        # solve projects the start into this row's box.
+        report = _solve_game(problem, scen.config, scen.x0.flat() if prev is None else prev)
+        rows.append(solution_row(problem, report, value))
         if warm_start and report.converged:
             prev = report.solution
     return SweepResult(spec, rows)
@@ -348,7 +335,7 @@ def find_crossing(result: SweepResult, series_a, series_b):
     params = result.series("param")
     if len(a) != len(params) or len(b) != len(params):
         raise ValueError("series length does not match the sweep")
-    mask = result.converged_mask
+    mask = result.series("converged")
     p = params[mask]
     d = (a - b)[mask]
     keep = d != 0.0
@@ -364,11 +351,11 @@ def _fmt(x):
     return f"{x:12.6f}"
 
 
-def reconciliation_report(scenario: Scenario, point: DecisionVector,
-                          report: SolverReport):
+def reconciliation_report(scenario: Scenario, point, report: SolverReport):
     """Side-by-side comparison of the computed equilibrium and the recorded
     reference values, including the stationarity residuals at the reference
     point when one is available.  Values are printed, never forced to agree.
+    ``point`` is any record with the computed ``u`` and ``Q``.
     """
     model = scenario.model
     lines = [f"reconciliation [{scenario.name}]"]
@@ -385,7 +372,7 @@ def reconciliation_report(scenario: Scenario, point: DecisionVector,
     if ref is not None and "Q" in ref and ref["Q"].shape == point.Q.shape:
         lines.append(f"  reference Q     : {np.array2string(ref['Q'].ravel(), precision=4)}")
         problem = ViProblem(model)
-        ref_point = DecisionVector(ref["Q"], ref["u"], np.zeros(model.m))
+        ref_point = DecisionVector(ref["Q"], ref["u"])
         f_ref = problem.operator(ref_point.flat())
         mn = model.m * model.n
         lines.append("  stationarity residuals at the reference point "

@@ -55,19 +55,20 @@ class DecisionVector:
     """Decision variables (Q, u) of all retailers and the budget multipliers.
 
     Flat layout: all of Q row-major, then u.  The multipliers lambda are not
-    VI coordinates; ViProblem.split recovers them from the KKT conditions.
+    VI coordinates; ViProblem.split recovers them from the KKT conditions,
+    and a start point leaves them at zero.
     """
 
     Q: np.ndarray
     u: np.ndarray
-    lam: np.ndarray
+    lam: np.ndarray = None
 
     def __post_init__(self):
         self.Q = np.asarray(self.Q, dtype=float)
         self.u = np.asarray(self.u, dtype=float)
-        self.lam = np.asarray(self.lam, dtype=float)
-        m = self.Q.shape[0]
-        if self.Q.ndim != 2 or self.u.shape != (m,) or self.lam.shape != (m,):
+        self.lam = np.asarray(np.zeros(self.u.shape) if self.lam is None else self.lam,
+                              dtype=float)
+        if self.Q.ndim != 2 or not self.u.shape == self.lam.shape == self.Q.shape[:1]:
             raise ValueError("inconsistent shapes for (Q, u, lambda)")
 
     @property
@@ -200,7 +201,7 @@ class ViProblem(BoxVi):
         return DecisionVector(x[:mn].reshape(m, n).copy(), u, lam)
 
     def default_start(self):
-        """Conventional initial point: all quantities 1, levels 0."""
+        """The one default initial point: Q = min(1, q_upper), u = 0."""
         x0 = np.zeros(self.dim)
         x0[: self._mn] = 1.0
         return self.project(x0)
@@ -259,6 +260,10 @@ class InvestmentVi(BoxVi):
         out = np.asarray(x, dtype=float) * self._scale
         out[self._mn:] = -np.log1p(-out[self._mn:])
         return out
+
+    def default_start(self):
+        """The problem's default start mapped to (z, w)."""
+        return self.from_u(self.problem.default_start())
 
     def _scaled_operator(self, x):
         m, n, mn = self._m, self._n, self._mn

@@ -184,7 +184,7 @@ def test_criterion_3_attack_loss_sweep(exp3_result):
     # The model's own crossing, from the raw parameters, confirmed by a cold
     # solve at the sweep configuration.
     d1_star, u_star = closed_form_level_crossing(spec.scenario.model)
-    at_star = apply_parameter(spec.scenario, spec.param, d1_star, spec.coupling)
+    at_star = apply_parameter(spec.scenario, spec.param, d1_star)
     problem, report = solve_scenario(at_star)
     star_point = problem.split(report.solution)
     star_gap = abs(star_point.u[0] - star_point.u[1])

@@ -56,6 +56,44 @@ class TestSolveCommand:
         assert run(["solve", str(path), "--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_small_box_without_initial_solves_and_dumps(self, tmp_path, capsys):
+        # The default start Q = 1 is projected onto q_upper = 0.5.
+        data = scenario_to_data(experiment1())
+        data["model"]["q_upper"] = 0.5
+        del data["initial"]
+        path = tmp_path / "q05.json"
+        path.write_text(json.dumps(data))
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["solve", str(path), "--out", str(out1)]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["solve", str(path), "--dump"]) == EXIT_OK
+        dumped = json.loads(capsys.readouterr().out)
+        assert dumped["initial"] == {"Q": [[0.5, 0.5], [0.5, 0.5]], "u": [0.0, 0.0]}
+        path.write_text(json.dumps(dumped))
+        assert run(["solve", str(path), "--out", str(out2)]) == EXIT_OK
+        assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("Q", [[[-1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 101.0]], 5.0])
+    def test_bad_initial_point_names_initial(self, tmp_path, capsys, Q):
+        data = scenario_to_data(experiment1())
+        data["initial"]["Q"] = Q
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert run(["solve", str(path)]) == EXIT_VALIDATION
+        assert "error: bad.json.initial: " in capsys.readouterr().err
+
+    def test_initial_lambda_is_optional(self, tmp_path, capsys):
+        data = scenario_to_data(experiment1())
+        data["initial"]["lambda"] = [0.5, 2.0]
+        with_lam, without = tmp_path / "with.json", tmp_path / "without.json"
+        with_lam.write_text(json.dumps(data))
+        del data["initial"]["lambda"]
+        without.write_text(json.dumps(data))
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["solve", str(with_lam), "--out", str(out1)]) == EXIT_OK
+        assert run(["solve", str(without), "--out", str(out2)]) == EXIT_OK
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_missing_markets_names_the_path(self, tmp_path, capsys):
         data = scenario_to_data(experiment1())
         del data["model"]["markets"]
@@ -101,7 +139,9 @@ class TestSolveCommand:
         ("retailer", "B", float("nan"), "model.retailers[0].B: expected a finite number"),
         ("market", "kappa", float("inf"), "model.markets[0].kappa: expected a finite"),
         ("initial", "u", [float("-inf"), 0.0], "initial: expected finite numbers"),
-        ("initial", "lambda", [float("nan"), 0.0], "initial: expected finite numbers"),
+        ("initial", "lambda", [float("nan"), 0.0], "initial.lambda: expected finite"),
+        ("initial", "lambda", [-1.0, 0.0], "initial.lambda: expected finite nonnegative"),
+        ("initial", "lambda", [0.0, 0.0, 0.0], "initial.lambda: expected finite nonnegative"),
     ])
     def test_non_finite_number_names_the_path(self, tmp_path, capsys, section, key,
                                               value, where):

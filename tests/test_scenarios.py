@@ -115,7 +115,7 @@ class TestParameterPaths:
         assert scen.model.retailers[1] == experiment1().model.retailers[1]
 
     def test_shares_coupling_rebuilds_both_retailers(self):
-        scen = apply_parameter(experiment1(), "t1", 0.6, coupling="shares")
+        scen = apply_parameter(experiment1(), "t1", 0.6)
         r1, r2 = scen.model.retailers
         assert r1.t == pytest.approx(0.6) and r2.t == pytest.approx(0.4)
         assert r1.B == pytest.approx(3.0 * 1.6)
@@ -123,13 +123,15 @@ class TestParameterPaths:
         assert r1.mu == pytest.approx(1.6)
         assert [tc.s for tc in r2.costs] == pytest.approx([1.4, 1.4])
 
-    def test_shares_coupling_requires_share_param(self):
-        with pytest.raises(ValueError):
-            apply_parameter(experiment1(), "B1", 2.5, coupling="shares")
-
     def test_shares_coupling_requires_duopoly(self):
         with pytest.raises(ValueError):
-            apply_parameter(experiment5(), "t1", 0.6, coupling="shares")
+            apply_parameter(experiment5(), "t1", 0.6)
+
+    def test_share_of_a_model_outside_the_family_is_refused(self):
+        # Rebuilding from the family would drop the raised budget silently.
+        base = apply_parameter(experiment1(), "B1", 2.5)
+        with pytest.raises(ValueError, match="not a member"):
+            apply_parameter(base, "t1", 0.6)
 
 
 class TestSweepSpec:
@@ -139,7 +141,7 @@ class TestSweepSpec:
         exp3 = builtin_sweep("exp3")
         assert (exp3.param, exp3.start, exp3.stop, exp3.steps) == ("D1", 120.0, 200.0, 81)
         exp4 = builtin_sweep("exp4")
-        assert (exp4.param, exp4.coupling) == ("t1", "shares")
+        assert exp4.param == "t1"
         assert (exp4.start, exp4.stop, exp4.steps) == (0.55, 0.89, 18)
 
     def test_unknown_builtin(self):
@@ -151,8 +153,6 @@ class TestSweepSpec:
             SweepSpec(experiment1(), "B1", 3.0, 2.0, 5)
         with pytest.raises(ValueError):
             SweepSpec(experiment1(), "B1", 2.0, 3.0, 1)
-        with pytest.raises(ValueError):
-            SweepSpec(experiment1(), "B1", 2.0, 3.0, 5, coupling="weird")
 
     @pytest.mark.parametrize("start, stop", [
         (2.0, np.inf), (-np.inf, 3.0), (np.nan, 3.0), (2.0, np.nan),
@@ -316,6 +316,17 @@ class TestSolveScenario:
         assert report.converged
         assert report.iterations <= 20
         assert report.beta_retries <= 2
+
+    @pytest.mark.parametrize("m, gate", [
+        (8, 35),    # 27 iterations
+        (16, 80),   # 66
+        (32, 160),  # 133
+    ])
+    def test_iterations_scale_with_the_number_of_retailers(self, m, gate):
+        shares = np.random.default_rng(m).dirichlet(np.ones(m))
+        _, report = solve_scenario(Scenario(f"m{m}", experiment_model(tuple(shares))))
+        assert report.converged
+        assert report.iterations <= gate
 
     def test_exp1_converges_quickly(self):
         problem, report = solve_scenario(experiment1())

@@ -235,6 +235,13 @@ class TestInvestmentVi:
         assert scaled_error(view.to_u(view.upper), exp1_problem.upper) <= 1e-15
         assert np.all(view.to_u(view.upper) <= exp1_problem.upper)
 
+    def test_solve_starts_at_the_problem_default(self):
+        problem = ViProblem(replace(experiment1().model, q_upper=0.5))
+        view = InvestmentVi(problem)
+        start = solve(view, SolverConfig(max_iter=0)).solution
+        assert np.array_equal(start, view.from_u(problem.default_start()))
+        assert np.array_equal(view.to_u(start), [0.5] * 4 + [0.0] * 2)
+
     def test_large_budget_leaves_level_cap(self):
         model = experiment1().model
         rich = replace(model.retailers[0], B=20.0)
