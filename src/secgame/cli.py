@@ -1,8 +1,10 @@
 """Command-line interface: solve, sweep, verify and gradcheck.
 
 Scenario files are JSON documents with top-level keys ``model``, ``initial``
-and ``solver``; unknown keys and non-finite numbers are rejected with the
-offending path.  Exit codes: 0 success, 2 non-convergence (including a solve
+and ``solver``.  The keys of ``model`` and ``solver`` and of their records
+are the fields of the parameter dataclasses and SolverConfig, required
+exactly when the field has no default; unknown keys and non-finite numbers
+are rejected with the offending path.  Exit codes: 0 success, 2 non-convergence (including a solve
 stopped by a non-finite operator value), 3 validation error, 4 verification
 failure.  Sweep CSV columns are
 param,u_1..u_m,Q_1_1..Q_m_n,lambda_1..lambda_m,EU_1..EU_m,residual,iters,converged
@@ -13,19 +15,22 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import replace
+import typing
+from dataclasses import MISSING, replace
 
 import numpy as np
 
-from .model import MarketParams, ModelSpec, RetailerParams, TransactionCostParams
-from .scenarios import (BUILTIN_SCENARIOS, BUILTIN_SWEEPS, CROSSING_BANDS,
-                        REFERENCE_TARGETS, Scenario, SweepSpec, builtin_sweep,
-                        crossing_reconciliation, find_crossing, reconciliation_report,
-                        run_sweep, scenario_by_name, solution_row, solve_scenario)
+from .model import ModelSpec
+from .scenarios import (BUILTIN_SCENARIOS, CROSSING_BANDS, REFERENCE_TARGETS, Scenario,
+                        SweepSpec, builtin_sweep, crossing_reconciliation, find_crossing,
+                        reconciliation_report, run_sweep, scenario_by_name, solution_row,
+                        solve_scenario)
 from .solver import SolverConfig, SolverNumericError, verify_equilibrium
 from .vi import DecisionVector, ViProblem, fd_check_random
 
@@ -58,7 +63,10 @@ def _check_keys(obj, path, required, optional=()):
 def _number(obj, path):
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         raise SchemaError(path, "expected a number")
-    value = float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise SchemaError(path, "expected a finite number")
     return value
@@ -70,67 +78,61 @@ def _integer(obj, path):
     return obj
 
 
+def _flag(obj, path):
+    if not isinstance(obj, bool):
+        raise SchemaError(path, "expected true or false")
+    return obj
+
+
 def _array(obj, path):
-    if not isinstance(obj, list):
+    # scenario_to_data leaves the tuples of the dataclasses as tuples.
+    if not isinstance(obj, (list, tuple)):
         raise SchemaError(path, "expected an array")
     return obj
+
+
+_SCALAR_READERS = {float: _number, int: _integer, bool: _flag}
+
+
+def _reader(annotation):
+    """The function ``(obj, path) -> value`` that reads a field annotated
+    ``annotation``: a scalar, or ``tuple[Record, ...]`` of a dataclass."""
+    if annotation in _SCALAR_READERS:
+        return _SCALAR_READERS[annotation]
+    args = typing.get_args(annotation)
+    if (typing.get_origin(annotation) is tuple and len(args) == 2 and args[1] is Ellipsis
+            and dataclasses.is_dataclass(args[0])):
+        return lambda obj, path: tuple(_record(args[0], item, f"{path}[{i}]")
+                                       for i, item in enumerate(_array(obj, path)))
+    raise TypeError(f"no scenario-file reader for the annotation {annotation!r}")
+
+
+@functools.cache
+def _schema(cls):
+    """(key, required, reader) of every field of dataclass ``cls``; a key is
+    required exactly when its field has no default."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, f.default is MISSING and f.default_factory is MISSING,
+                  _reader(hints[f.name]))
+                 for f in dataclasses.fields(cls))
+
+
+def _record(cls, obj, path):
+    """Read the JSON object ``obj`` at ``path`` into dataclass ``cls``."""
+    schema = _schema(cls)
+    _check_keys(obj, path, required=[key for key, required, _ in schema if required],
+                optional=[key for key, required, _ in schema if not required])
+    fields = {key: read(obj[key], f"{path}.{key}") for key, _, read in schema if key in obj}
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from exc
 
 
 def scenario_from_data(data, name="scenario"):
     """Validate a parsed scenario document and build the Scenario."""
     _check_keys(data, name, required=("model",), optional=("initial", "solver"))
-    mdata = data["model"]
-    mpath = f"{name}.model"
-    _check_keys(mdata, mpath, required=("m", "n", "retailers", "markets"),
-                optional=("q_upper", "loss_gradient_includes_multiplier"))
-    m = _integer(mdata["m"], f"{mpath}.m")
-    n = _integer(mdata["n"], f"{mpath}.n")
-
-    retailers = []
-    for i, rdata in enumerate(_array(mdata["retailers"], f"{mpath}.retailers")):
-        rpath = f"{mpath}.retailers[{i}]"
-        _check_keys(rdata, rpath, required=("c", "B", "D", "t", "mu", "costs"))
-        costs = []
-        for j, cdata in enumerate(_array(rdata["costs"], f"{rpath}.costs")):
-            cpath = f"{rpath}.costs[{j}]"
-            _check_keys(cdata, cpath, required=("a", "b", "s"))
-            fields = {key: _number(cdata[key], f"{cpath}.{key}") for key in ("a", "b", "s")}
-            try:
-                costs.append(TransactionCostParams(**fields))
-            except ValueError as exc:
-                raise SchemaError(cpath, str(exc)) from exc
-        fields = {key: _number(rdata[key], f"{rpath}.{key}")
-                  for key in ("c", "B", "D", "t", "mu")}
-        try:
-            retailers.append(RetailerParams(costs=tuple(costs), **fields))
-        except ValueError as exc:
-            raise SchemaError(rpath, str(exc)) from exc
-
-    markets = []
-    for i, kdata in enumerate(_array(mdata["markets"], f"{mpath}.markets")):
-        kpath = f"{mpath}.markets[{i}]"
-        _check_keys(kdata, kpath, required=("alpha", "gamma", "kappa"))
-        fields = {key: _number(kdata[key], f"{kpath}.{key}")
-                  for key in ("alpha", "gamma", "kappa")}
-        try:
-            markets.append(MarketParams(**fields))
-        except ValueError as exc:
-            raise SchemaError(kpath, str(exc)) from exc
-
-    kwargs = {}
-    if "q_upper" in mdata:
-        kwargs["q_upper"] = _number(mdata["q_upper"], f"{mpath}.q_upper")
-    if "loss_gradient_includes_multiplier" in mdata:
-        flag = mdata["loss_gradient_includes_multiplier"]
-        if not isinstance(flag, bool):
-            raise SchemaError(f"{mpath}.loss_gradient_includes_multiplier",
-                              "expected true or false")
-        kwargs["loss_gradient_includes_multiplier"] = flag
-    try:
-        model = ModelSpec(m=m, n=n, retailers=tuple(retailers), markets=tuple(markets),
-                          **kwargs)
-    except ValueError as exc:
-        raise SchemaError(mpath, str(exc)) from exc
+    model = _record(ModelSpec, data["model"], f"{name}.model")
 
     ipath = f"{name}.initial"
     x0 = None
@@ -153,20 +155,7 @@ def scenario_from_data(data, name="scenario"):
 
     config = SolverConfig()
     if "solver" in data:
-        sdata = data["solver"]
-        spath = f"{name}.solver"
-        _check_keys(sdata, spath, required=(),
-                    optional=("beta0", "nu", "mu", "rho", "tol", "max_iter"))
-        fields = {}
-        for key in ("beta0", "nu", "mu", "rho", "tol"):
-            if key in sdata:
-                fields[key] = _number(sdata[key], f"{spath}.{key}")
-        if "max_iter" in sdata:
-            fields["max_iter"] = _integer(sdata["max_iter"], f"{spath}.max_iter")
-        try:
-            config = SolverConfig(**fields)
-        except ValueError as exc:
-            raise SchemaError(spath, str(exc)) from exc
+        config = _record(SolverConfig, data["solver"], f"{name}.solver")
 
     try:
         return Scenario(name, model, x0, config)
@@ -188,37 +177,18 @@ def load_scenario(source):
     return scenario_from_data(data, name=os.path.basename(source))
 
 
+# The key order of the "model" section in written documents.
+_MODEL_KEYS = ("m", "n", "q_upper", "loss_gradient_includes_multiplier", "retailers",
+               "markets")
+
+
 def scenario_to_data(scenario: Scenario):
     """Serialize a scenario to the document form accepted by load_scenario."""
-    model = scenario.model
+    model = dataclasses.asdict(scenario.model)
     return {
-        "model": {
-            "m": model.m,
-            "n": model.n,
-            "q_upper": model.q_upper,
-            "loss_gradient_includes_multiplier": model.loss_gradient_includes_multiplier,
-            "retailers": [
-                {"c": r.c, "B": r.B, "D": r.D, "t": r.t, "mu": r.mu,
-                 "costs": [{"a": tc.a, "b": tc.b, "s": tc.s} for tc in r.costs]}
-                for r in model.retailers
-            ],
-            "markets": [
-                {"alpha": mk.alpha, "gamma": mk.gamma, "kappa": mk.kappa}
-                for mk in model.markets
-            ],
-        },
-        "initial": {
-            "Q": scenario.x0.Q.tolist(),
-            "u": scenario.x0.u.tolist(),
-        },
-        "solver": {
-            "beta0": scenario.config.beta0,
-            "nu": scenario.config.nu,
-            "mu": scenario.config.mu,
-            "rho": scenario.config.rho,
-            "tol": scenario.config.tol,
-            "max_iter": scenario.config.max_iter,
-        },
+        "model": {key: model[key] for key in _MODEL_KEYS},
+        "initial": {"Q": scenario.x0.Q.tolist(), "u": scenario.x0.u.tolist()},
+        "solver": dataclasses.asdict(scenario.config),
     }
 
 
@@ -299,9 +269,7 @@ def _sweep_csv_lines(result):
 
 def cmd_sweep(args):
     if args.name:
-        if args.name not in BUILTIN_SWEEPS:
-            raise SchemaError(args.name,
-                              f"unknown sweep; builtins: {list(BUILTIN_SWEEPS)}")
+        spec = builtin_sweep(args.name)
         # A built-in sweep fixes its scenario and grid; a given option would
         # otherwise be dropped without a word.
         for flag, value in (("--param", args.param), ("--from", args.start),
@@ -310,7 +278,6 @@ def cmd_sweep(args):
             if value is not None:
                 raise SchemaError(flag, f"not accepted with the built-in sweep "
                                         f"{args.name}, which fixes its own grid")
-        spec = builtin_sweep(args.name)
     else:
         if args.param is None or args.start is None or args.stop is None:
             raise SchemaError("sweep", "custom sweeps need --param, --from and --to")
@@ -319,12 +286,6 @@ def cmd_sweep(args):
                 raise SchemaError(flag, "expected a finite number")
         scenario = "exp1" if args.scenario is None else args.scenario
         steps = 31 if args.steps is None else args.steps
-        if args.param.startswith("t") and scenario not in BUILTIN_SCENARIOS:
-            # A share sweep rebuilds the model from the built-in family, which
-            # a file's markets and costs need not belong to.
-            raise SchemaError("--param", f"{args.param}: shares coupling is defined only "
-                              f"for the built-in scenario family, not for "
-                              f"{scenario!r}")
         base = load_scenario(scenario)
         try:
             spec = SweepSpec(base, args.param, args.start, args.stop, steps)
@@ -460,9 +421,6 @@ def main(argv=None):
             return cmd_verify(args)
         if args.command == "gradcheck":
             return cmd_gradcheck(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except SolverNumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -92,7 +92,7 @@ class TransactionCostParams:
 
     a: float
     b: float
-    s: float = 1.0
+    s: float
 
     def __post_init__(self):
         _require_finite(self, ("a", "b", "s"))
@@ -140,7 +140,7 @@ class RetailerParams:
     D: float
     t: float
     mu: float
-    costs: tuple
+    costs: tuple[TransactionCostParams, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "costs", tuple(self.costs))
@@ -169,8 +169,8 @@ class ModelSpec:
 
     m: int
     n: int
-    retailers: tuple
-    markets: tuple
+    retailers: tuple[RetailerParams, ...]
+    markets: tuple[MarketParams, ...]
     q_upper: float = 100.0
     loss_gradient_includes_multiplier: bool = True
 

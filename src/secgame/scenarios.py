@@ -142,7 +142,9 @@ class SweepSpec:
     """One-parameter sensitivity sweep over a base scenario.
 
     ``param`` names a retailer-indexed quantity such as "B1", "D1" or "t1";
-    apply_parameter sets it at each grid value.
+    apply_parameter sets it at each grid value.  Both ends of the grid are
+    applied on construction, so a value outside the field's domain is refused
+    before any row is solved.
     """
 
     scenario: Scenario
@@ -159,6 +161,12 @@ class SweepSpec:
         if self.steps < 2:
             raise ValueError("sweep needs at least 2 steps")
         parse_param(self.param, self.scenario.model.m)
+        # Every field's domain is an interval, and so is the grid.
+        for value in (self.start, self.stop):
+            try:
+                apply_parameter(self.scenario, self.param, value)
+            except ValueError as exc:
+                raise ValueError(f"{self.param} = {value:g}: {exc}") from exc
 
     def grid(self):
         return np.linspace(self.start, self.stop, self.steps)
@@ -345,10 +353,6 @@ def find_crossing(result: SweepResult, series_a, series_b):
             frac = d[i] / (d[i] - d[i + 1])
             return float(p[i] + frac * (p[i + 1] - p[i]))
     return None
-
-
-def _fmt(x):
-    return f"{x:12.6f}"
 
 
 def reconciliation_report(scenario: Scenario, point, report: SolverReport):

@@ -3,6 +3,7 @@
 import json
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from secgame import cli, solver
 from secgame.cli import (EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_VALIDATION,
                          EXIT_VERIFICATION, SchemaError, main, scenario_from_data,
                          scenario_to_data)
-from secgame.scenarios import SweepResult, SweepRow, experiment1
+from secgame.model import MarketParams, ModelSpec, RetailerParams, TransactionCostParams
+from secgame.scenarios import SweepResult, SweepRow, experiment1, experiment5
+from secgame.solver import SolverConfig
 
 
 @pytest.fixture()
@@ -219,6 +222,31 @@ class TestSweepCommand:
         assert code == EXIT_OK
         assert len(out.read_text().splitlines()) == 4
 
+    def test_shares_sweep_of_a_family_file_matches_the_builtin(self, tmp_path, capsys):
+        # A dumped exp1 is a member of the built-in family, so tN may sweep it.
+        path = tmp_path / "exp1.json"
+        path.write_text(json.dumps(scenario_to_data(experiment1())))
+        outs = []
+        for scenario in ("exp1", str(path)):
+            outs.append(tmp_path / f"t{len(outs)}.csv")
+            assert run(["sweep", "--scenario", scenario, "--param", "t1", "--from", "0.70",
+                        "--to", "0.80", "--steps", "3", "--out", str(outs[-1])]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("param, bounds, message", [
+        ("t1", ["0.5", "1.2"], "t1 = 1.2: market share t must lie in [0, 1]"),
+        ("B1", ["-1", "1"], "B1 = -1: budget B must be positive"),
+    ])
+    def test_grid_outside_the_domain_refused_before_solving(self, capsys, monkeypatch,
+                                                            param, bounds, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sweep solved before its grid was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", forbidden)
+        assert run(["sweep", "--param", param, "--from", bounds[0], "--to", bounds[1],
+                    "--steps", "3"]) == EXIT_VALIDATION
+        assert f"error: sweep: {message}" in capsys.readouterr().err
+
     def test_builtin_market_share_sweep(self, tmp_path, capsys):
         out = tmp_path / "exp4.csv"
         assert run(["sweep", "exp4", "--out", str(out)]) == EXIT_OK
@@ -238,7 +266,8 @@ class TestSweepCommand:
         code = run(["sweep", "--scenario", str(path), "--param", "t1", "--from", "0.70",
                     "--to", "0.80", "--steps", "3", "--out", str(out)])
         assert code == EXIT_VALIDATION
-        assert "shares coupling is defined only for the built-in" in capsys.readouterr().err
+        assert ("error: sweep: t1 = 0.7: market-share parameters rebuild the built-in "
+                "scenario family" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_builtin_sweep_reports_recorded_crossing(self, tmp_path, capsys,
@@ -399,6 +428,56 @@ class TestSchemaHelpers:
         scen = scenario_from_data(data)
         assert scen.config.tol == 1e-7
         assert scen.x0.Q[0, 0] == 1.0
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda d: d["model"]["retailers"][0]["costs"][0].pop("s"),
+         "scenario.model.retailers[0].costs[0].s: missing required key"),
+        (lambda d: d["model"].update(m=2.0), "scenario.model.m: expected an integer"),
+        (lambda d: d["model"].update(loss_gradient_includes_multiplier=1),
+         "scenario.model.loss_gradient_includes_multiplier: expected true or false"),
+        (lambda d: d["model"].update(retailers={}),
+         "scenario.model.retailers: expected an array"),
+        (lambda d: d["solver"].update(max_iter=1e5),
+         "scenario.solver.max_iter: expected an integer"),
+        (lambda d: d["model"]["markets"][1].update(kappa=10**400),
+         "scenario.model.markets[1].kappa: expected a finite number"),
+    ], ids=["missing-s", "float-m", "int-flag", "object-retailers", "float-max-iter",
+            "huge-integer"])
+    def test_field_errors_name_the_path(self, edit, where):
+        data = scenario_to_data(experiment5())
+        edit(data)
+        with pytest.raises(SchemaError) as err:
+            scenario_from_data(data)
+        assert str(err.value) == where
+
+    @pytest.mark.parametrize("section, key, default", [
+        ("model", "q_upper", 100.0),
+        ("model", "loss_gradient_includes_multiplier", True),
+        ("solver", "tol", 1e-7),
+        ("solver", "max_iter", 200_000),
+    ])
+    def test_missing_key_with_a_default_takes_it(self, section, key, default):
+        base = experiment1()
+        base = replace(base, model=replace(base.model, q_upper=50.0,
+                                           loss_gradient_includes_multiplier=False),
+                       config=SolverConfig(tol=1e-9, max_iter=10))
+        data = scenario_to_data(base)
+        assert data[section][key] != default
+        del data[section][key]
+        back = scenario_from_data(data)
+        assert getattr(back.model if section == "model" else back.config, key) == default
+
+    @pytest.mark.parametrize("cls", [TransactionCostParams, RetailerParams, MarketParams,
+                                     ModelSpec, SolverConfig])
+    def test_every_field_has_a_reader(self, cls):
+        # A field whose annotation no reader covers fails here, not in a user's file.
+        cli._schema(cls)
+
+    def test_unreadable_annotation_is_refused(self):
+        with pytest.raises(TypeError, match="no scenario-file reader"):
+            cli._reader(str)
+        with pytest.raises(TypeError, match="no scenario-file reader"):
+            cli._reader(tuple)
 
 
 class TestUsageErrors:
