@@ -32,7 +32,7 @@ from .scenarios import (BUILTIN_SCENARIOS, CROSSING_BANDS, REFERENCE_TARGETS, Sc
                         reconciliation_report, run_sweep, scenario_by_name, solution_row,
                         solve_scenario)
 from .solver import SolverConfig, SolverNumericError, verify_equilibrium
-from .vi import DecisionVector, ViProblem, fd_check_random
+from .vi import DecisionVector, ViProblem, fd_check_random, level_caps
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 2
@@ -158,9 +158,16 @@ def scenario_from_data(data, name="scenario"):
         config = _record(SolverConfig, data["solver"], f"{name}.solver")
 
     try:
-        return Scenario(name, model, x0, config)
+        scenario = Scenario(name, model, x0, config)
     except ValueError as exc:
         raise SchemaError(ipath, str(exc)) from exc
+    # A start above a budget cap would be projected onto it without a word;
+    # sweeps still project a valid base start into each row's box.
+    for x, (u, cap) in enumerate(zip(scenario.x0.u, level_caps(model))):
+        if u > cap:
+            raise SchemaError(f"{ipath}.u", f"level {u!r} of retailer {x + 1} exceeds its "
+                                            f"budget cap min(U_CAP, 1 - exp(-B)) = {cap!r}")
+    return scenario
 
 
 def load_scenario(source):

@@ -11,8 +11,8 @@ Also provides a Gauss-Seidel best-response driver and a grid-search
 equilibrium verifier, both used as independent cross-checks of the main
 solve.  The best-response driver runs no projection-contraction step: with
 rivals frozen, each retailer's shipments solve affine first-order conditions
-in closed form and its level is the root of a strictly increasing
-stationarity condition found by regula falsi under the budget bound.
+in closed form, and its level condition is a scalar quadratic in 1 - u whose
+root, clipped to the budget bound, is also taken in closed form.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def solve(problem, config=None, x0=None, record_trace=False, iterate_callback=No
             fx = problem.operator(x)
         except ValueError as exc:
             raise SolverNumericError(str(exc), iterations) from exc
-        if not math.isfinite(float(fx.sum())):
+        if not math.isfinite(np.add.reduce(fx)):
             raise SolverNumericError("operator returned non-finite values", iterations)
         residual = problem.natural_residual(x, fx)
         if residual <= config.tol:
@@ -176,7 +176,7 @@ def solve(problem, config=None, x0=None, record_trace=False, iterate_callback=No
 
         while True:
             x_tilde, f_tilde, r = predict(problem, x, beta, fx)
-            if not math.isfinite(float(f_tilde.sum())):
+            if not math.isfinite(np.add.reduce(f_tilde)):
                 raise SolverNumericError("operator returned non-finite values", iterations)
             if r == 0.0 and np.array_equal(x_tilde, x):
                 # Stalled: the projected step no longer moves the iterate.
@@ -201,46 +201,6 @@ def solve(problem, config=None, x0=None, record_trace=False, iterate_callback=No
     return SolverReport(x, iterations, residual, False, retries, trace)
 
 
-def _level_root(f, hi):
-    """Root of a strictly increasing f on [0, hi], or the end it is pinned to.
-
-    Returns 0 when f(0) >= 0 and hi when f(hi) <= 0.  Otherwise runs the
-    Illinois regula falsi: a secant step inside the bracket, where an end
-    kept by two steps in a row has its value halved so that both ends close
-    in.  A secant step that rounds onto an end moves one float inward, so a
-    root within float spacing of that end is bracketed at once; one that
-    leaves the bracket falls back to the midpoint.  The loop stops when no
-    float lies strictly inside the bracket and returns its midpoint, as a
-    bisection run to the last bit would.
-    """
-    lo, f_lo = 0.0, f(0.0)
-    if f_lo >= 0.0:
-        return lo
-    f_hi = f(hi)
-    if f_hi <= 0.0:
-        return hi
-    kept = 0  # +1: the last step kept hi, -1: it kept lo
-    while True:
-        s = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if s == lo or s == hi:
-            s = math.nextafter(s, hi if s == lo else lo)
-        elif not lo < s < hi:
-            s = 0.5 * (lo + hi)
-        if not lo < s < hi:
-            return 0.5 * (lo + hi)
-        fs = f(s)
-        if fs < 0.0:
-            lo, f_lo = s, fs
-            if kept > 0:
-                f_hi *= 0.5
-            kept = 1
-        else:
-            hi, f_hi = s, fs
-            if kept < 0:
-                f_lo *= 0.5
-            kept = -1
-
-
 def _block_best_response(problem: ViProblem, x, x_idx):
     """Retailer x_idx's exact best response to its rivals frozen in ``x``.
 
@@ -248,9 +208,14 @@ def _block_best_response(problem: ViProblem, x, x_idx):
     Shipments: F1[x, y] is affine in Q[x, y] alone with slope 2as - 2alpha,
     positive under the model validators (alpha < 0, a >= 0, s > 0), so one
     clipped Newton step from one operator evaluation solves each market.
-    Level: F2[x] strictly increases in u_x (slope 1/(1-u)^2 + 2DM/m >= 1),
-    so _level_root finds its root on [0, upper bound of u_x]; the bound is
-    the budget cap min(U_CAP, -expm1(-B)) of the problem's box.
+    Level: with rivals and the new shipments fixed, the marginal benefit
+    g = 1/v - F2[x] (v = 1 - u_x) is affine in v, g = a + c v with
+    c = 2DM/m >= 0, so F2[x] = 1/v - a - c v strictly increases in u_x.
+    Two operator values give a and c; F2 = 0 is the quadratic
+    c v^2 + a v - 1 = 0, whose positive root is taken in a form without
+    cancellation, and u_x is clipped to [0, cap], cap being the budget cap
+    min(U_CAP, -expm1(-B)) of the problem's box.  A block costs three
+    operator calls.
     """
     model = problem.model
     n = model.n
@@ -259,7 +224,7 @@ def _block_best_response(problem: ViProblem, x, x_idx):
 
     def operator(z):
         fz = problem.operator(z)
-        if not math.isfinite(float(fz.sum())):
+        if not math.isfinite(np.add.reduce(fz)):
             raise ValueError("operator returned non-finite values")
         return fz
 
@@ -267,11 +232,26 @@ def _block_best_response(problem: ViProblem, x, x_idx):
     z = x.copy()
     z[q] = np.clip(z[q] - operator(z)[q] / slope, 0.0, model.q_upper)
 
-    def f2(u):
-        z[iu] = u
-        return float(operator(z)[iu])
-
-    z[iu] = _level_root(f2, float(problem.upper[iu]))
+    z[iu] = 0.0
+    f0 = float(operator(z)[iu])
+    if f0 >= 0.0:
+        return z  # F2 >= 0 at u = 0: the level is pinned at 0
+    # The second reading is taken at the cap, but no higher than u = 1/2:
+    # near U_CAP, 1/v = 1/(1 - u) reaches 1e6 and would cancel most of the
+    # digits of g = 1/v - F2.  At u = 1/2, 1/v = 2 is exact.
+    cap = float(problem.upper[iu])
+    z[iu] = u1 = min(cap, 0.5)
+    f1 = float(operator(z)[iu])
+    if u1 == cap and f1 <= 0.0:
+        return z  # F2 <= 0 at the cap: the level is pinned there
+    g0 = 1.0 - f0
+    c = max(0.0, (g0 - (1.0 / (1.0 - u1) - f1)) / u1)
+    a = g0 - c
+    # g0 = a + c > 1, so a > 0 or c > 1: neither branch divides by zero,
+    # and c = 0 (no losses) gives v = 1/a.
+    root = math.sqrt(a * a + 4.0 * c)
+    v = 2.0 / (a + root) if a >= 0.0 else (root - a) / (2.0 * c)
+    z[iu] = min(max(1.0 - v, 0.0), cap)
     return z
 
 
@@ -279,8 +259,8 @@ def best_response_solve(problem: ViProblem, config=None, x0=None, max_sweeps=100
     """Gauss-Seidel best-response iteration over retailer blocks.
 
     Each sweep replaces every retailer's (Q row, u) block, in order, by its
-    exact best response to the current rival values (closed-form shipments,
-    regula falsi on the level); no projection-contraction iteration runs, so
+    exact best response to the current rival values (closed-form shipments
+    and level); no projection-contraction iteration runs, so
     the result is an independent check of ``solve``.  Sweeps repeat until the
     largest block change is at most config.tol.  The report counts sweeps in
     ``iterations`` and the last sweep's maximum block change in

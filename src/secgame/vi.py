@@ -36,6 +36,7 @@ from .model import ModelSpec
 
 __all__ = [
     "U_CAP",
+    "level_caps",
     "DecisionVector",
     "BoxVi",
     "ViProblem",
@@ -48,6 +49,11 @@ __all__ = [
 # Hard cap on u strictly below 1 so -ln(1-u) stays finite; budgets above
 # -ln(1 - U_CAP) ~ 13.8 leave it as the binding upper bound.
 U_CAP = 0.999999
+
+
+def level_caps(model: ModelSpec):
+    """Each retailer's upper bound on u, its budget cap min(U_CAP, 1 - exp(-B))."""
+    return np.minimum(U_CAP, -np.expm1(-model.B_vec))
 
 
 @dataclass
@@ -142,7 +148,7 @@ class ViProblem(BoxVi):
         lower = np.zeros(m * n + m)
         upper = np.concatenate([
             np.full(m * n, model.q_upper),
-            np.minimum(U_CAP, -np.expm1(-model.B_vec)),
+            level_caps(model),
         ])
         super().__init__(self._assemble, lower, upper)
         # Pre-fused parameter arrays for the hot path: F1 collapses to
@@ -163,22 +169,35 @@ class ViProblem(BoxVi):
 
         The one evaluation both layouts share: operator returns F2 = 1/v - g
         and InvestmentVi's level block is w - ln max(g, 1), the level
-        condition 1/v = g in log form.
+        condition 1/v = g in log form.  A stack of k points (Q of shape
+        (k, m, n), u and v of shape (k, m)) gives F1 of shape (k, m, n) and
+        g of shape (k, m), each row bit for bit that of its own call.
         """
-        # A Python sum of the m levels costs a fraction of a numpy reduction.
-        ubar = sum(u.tolist()) / self._m
+        if u.ndim == 1:
+            # A Python sum of the m levels costs a fraction of a numpy reduction.
+            ubar = sum(u.tolist()) / self._m
+            market = self._alpha * Q.sum(axis=0) + self._gamma * ubar
+        else:
+            # The same Python sum per row keeps each row's bits.
+            ubar = np.array([sum(row) for row in u.tolist()])[:, None] / self._m
+            market = (self._alpha * Q.sum(axis=1) + self._gamma * ubar)[:, None]
         f1 = self._quad_coef * Q
         f1 += self._f1_const
-        f1 -= self._alpha * Q.sum(axis=0) + self._gamma * ubar
+        f1 -= market
         g = self._DM * (1.0 - ubar) + self._DM_over_m * v + Q @ self._gamma_over_m
         return f1, g
 
     def _assemble(self, x):
+        """F at a flat point, or at each row of a (k, dim) stack of points."""
         mn = self._mn
-        u = x[mn:]
+        stack = x.ndim == 2
+        u = x[:, mn:] if stack else x[mn:]
         v = 1.0 - u
         if v.min() <= 0.0:
             raise ValueError("operator undefined at security level >= 1")
+        if stack:
+            f1, g = self._blocks(x[:, :mn].reshape(-1, self._m, self._n), u, v)
+            return np.concatenate([f1.reshape(len(x), mn), 1.0 / v - g], axis=1)
         f1, g = self._blocks(x[:mn].reshape(self._m, self._n), u, v)
         out = np.empty(mn + self._m)
         out[:mn] = f1.ravel()
@@ -325,7 +344,9 @@ def _fd_errors(problem: ViProblem, X, step):
     Retailer x's objective -expected_utility is differentiated in its own
     (Q row, u) block with rivals frozen.  Its 2(n+1) central-difference
     points at all k rows go to the model's batched value function in one
-    call, so the oracle shares no code with the operator assembly.
+    call, so the differences share no code with the operator assembly.  The
+    operator itself is evaluated once on the whole (k, dim) stack, through
+    the same assembly the solver calls.
     Returns q_err of shape (k, m, n) and u_err of shape (k, m).
     """
     m, n, mn = problem._m, problem._n, problem._mn
@@ -334,7 +355,7 @@ def _fd_errors(problem: ViProblem, X, step):
     if np.any(X < problem.lower + margin) or np.any(X > problem.upper - margin):
         raise ValueError("point too close to a bound for central differencing")
 
-    F = np.array([problem.operator(x) for x in X])
+    F = problem.operator(X)
     F_own = np.concatenate([F[:, :mn].reshape(k, m, n), F[:, mn:, None]], axis=2)
     Q = X[:, None, :mn].reshape(k, 1, m, n)
     u = X[:, None, mn:]
@@ -397,13 +418,15 @@ def fd_check_random(problem: ViProblem, points=100, step=1e-5, seed=0):
     q_hi = problem.model.q_upper
     u_hi = np.minimum(0.9, problem.upper[mn:] - 2.0 * step)
     u_lo = np.minimum(0.02, 0.5 * u_hi)
+    # Per-column sampling range: Q in [0.01, 0.99] * q_upper, u in [u_lo, u_hi].
+    lo = np.concatenate([np.full(mn, 0.01 * q_hi), u_lo])
+    width = np.concatenate([np.full(mn, 0.99 * q_hi - 0.01 * q_hi), u_hi - u_lo])
     batch = max(1, _FD_BATCH_VALUES // (2 * (n + 1) * mn))
     worst = None
     for start in range(0, points, batch):
-        X = np.empty((min(batch, points - start), mn + m))
-        for row in X:
-            row[:mn] = rng.uniform(0.01 * q_hi, 0.99 * q_hi, size=(m, n)).ravel()
-            row[mn:] = rng.uniform(u_lo, u_hi, size=m)
+        # One draw per batch; lo + width * U is how rng.uniform maps each
+        # value, so the stream is that of drawing the rows one by one.
+        X = lo + width * rng.random((min(batch, points - start), mn + m))
         q_err, u_err = _fd_errors(problem, X, step)
         per_point = np.maximum(q_err.max(axis=(1, 2)), u_err.max(axis=1))
         i = int(np.argmax(per_point))

@@ -78,3 +78,19 @@ def test_sweep_of_a_written_scenario_file(tmp_path, param, start, stop):
         for i in (1, 2):
             for key in (f"u_{i}", f"lambda_{i}", f"EU_{i}", f"Q_{i}_1", f"Q_{i}_2"):
                 float(row[key])
+
+
+def test_certify_call_sequence_on_exp1():
+    # The certify workload's calls, in its order, from exp1's equilibrium
+    # pulled down by 10 % in Q and 1 % in u.
+    model = experiment1().model
+    problem = vi.ViProblem(model)
+    eq = problem.split(solve_scenario(experiment1())[1].solution)
+    x0 = DecisionVector(eq.Q * 0.9, eq.u * 0.99, eq.lam).flat()
+    br = solver.best_response_solve(problem, x0=x0)
+    point = problem.split(br.solution)
+    audit = solver.verify_equilibrium(model, point, grid_density=50)
+    fd = vi.fd_check_random(problem, points=100, seed=12345)
+    assert br.converged and br.iterations > 0
+    assert audit.certified
+    assert fd.max_rel_error <= 1e-5

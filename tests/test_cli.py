@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, schema diagnostics, CSV output."""
 
 import json
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -84,6 +85,19 @@ class TestSolveCommand:
         path.write_text(json.dumps(data))
         assert run(["solve", str(path)]) == EXIT_VALIDATION
         assert "error: bad.json.initial: " in capsys.readouterr().err
+
+    def test_initial_level_above_the_budget_cap_names_initial_u(self, tmp_path, capsys):
+        # B1 = 5.28 caps u_1 at 1 - exp(-5.28) ~ 0.99491.
+        data = scenario_to_data(experiment1())
+        data["initial"]["u"] = [0.995, 0.5]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert run(["solve", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "error: bad.json.initial.u: " in err and "retailer 1" in err
+        data["initial"]["u"] = [0.99, 0.5]
+        path.write_text(json.dumps(data))
+        assert run(["solve", str(path)]) == EXIT_OK
 
     def test_initial_lambda_is_optional(self, tmp_path, capsys):
         data = scenario_to_data(experiment1())
@@ -197,6 +211,20 @@ class TestSweepCommand:
         assert len(lines) == 4
         assert lines[1].split(",")[0] == "150.0"
         assert all(line.endswith("true") for line in lines[1:])
+
+    def test_budget_sweep_projects_the_base_start_into_each_row(self, tmp_path):
+        # u_1 = 0.96 is within the file's cap but above the cap 1 - exp(-2)
+        # ~ 0.865 of the first rows: each row starts from its projection.
+        data = scenario_to_data(experiment1())
+        data["initial"]["u"] = [0.96, 0.95]
+        path = tmp_path / "high.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--scenario", str(path), "--param", "B1", "--from", "2.0",
+                    "--to", "4.0", "--steps", "3", "--out", str(out)]) == EXIT_OK
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 3 and all(row.endswith("true") for row in rows)
+        assert float(rows[0].split(",")[1]) <= -math.expm1(-2.0)
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

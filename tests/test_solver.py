@@ -19,6 +19,7 @@ from secgame.solver import (DegenerateDirectionError, SolverConfig, SolverNumeri
                             best_response_solve, correct, predict, solve,
                             verify_equilibrium)
 from secgame.vi import BoxVi, DecisionVector, ViProblem
+from test_vi import clamped_exp1_model
 
 
 def full_lattice_audit(model, point, grid_density, refinements=2):
@@ -361,12 +362,12 @@ class TestBestResponse:
         assert report.beta_retries == 0
 
     @pytest.mark.parametrize("build, sweeps, max_calls", [
-        (experiment1, 12, 500),
-        (experiment5, 16, 900),
+        (experiment1, 12, 72),
+        (experiment5, 16, 144),
     ], ids=["exp1", "exp5"])
     def test_operator_call_count(self, build, sweeps, max_calls):
-        # Each block costs one operator call for its shipments and one per
-        # regula falsi step on its level.
+        # Each block costs one operator call for its shipments and two for
+        # the readings of its level condition: 3 * m per sweep.
         problem = ViProblem(build().model)
         calls = []
         operator = problem.operator
@@ -397,6 +398,125 @@ class TestBestResponse:
                                      max_sweeps=1)
         assert not report.converged
         assert report.iterations == 1
+
+
+def bisect_level(problem, z, iu):
+    """Root of the increasing F2[iu] over u in [0, cap] with the rest of z
+    fixed, or the end it is pinned to: plain bisection to the last float."""
+    def f2(u):
+        w = z.copy()
+        w[iu] = u
+        return problem.operator(w)[iu]
+
+    lo, hi = 0.0, float(problem.upper[iu])
+    if f2(lo) >= 0.0:
+        return lo
+    if f2(hi) <= 0.0:
+        return hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if f2(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def level_step(model, x, xi):
+    """(problem, block best response of retailer xi at x, its level index)."""
+    problem = ViProblem(model)
+    return problem, solver._block_best_response(problem, x, xi), model.m * model.n + xi
+
+
+def interior_start(model):
+    """Q = 10 and u = 0.5 for every retailer: rivals at an interior point."""
+    return DecisionVector(np.full((model.m, model.n), 10.0), np.full(model.m, 0.5)).flat()
+
+
+class TestLevelStep:
+    """The closed-form level of one best-response block against F2 itself
+    and against a bisection on the operator."""
+
+    def assert_interior_root(self, problem, z, iu):
+        f2 = problem.operator(z)[iu]
+        g = 1.0 / (1.0 - z[iu]) - f2
+        assert 0.0 < z[iu] < problem.upper[iu]
+        assert abs(f2) <= 1e-12 * max(1.0, g)
+
+    @pytest.mark.parametrize("D", [0.0, 1e-6])
+    def test_no_or_tiny_losses(self, D):
+        # D = 0 makes g independent of u (c = 0): the root is v = 1/a.  A
+        # tiny D gives 4c << a^2, where the textbook root (sqrt(a^2 + 4c) - a)
+        # / 2c would cancel most of its digits.
+        model = experiment1().model
+        model = replace(model, retailers=tuple(replace(r, D=D) for r in model.retailers))
+        x = interior_start(model)
+        for xi in range(model.m):
+            problem, z, iu = level_step(model, x, xi)
+            self.assert_interior_root(problem, z, iu)
+            assert abs(z[iu] - bisect_level(problem, z, iu)) <= 1e-12
+
+    def test_tiny_budget_pins_the_level_at_its_cap(self):
+        model = experiment1().model
+        poor = replace(model.retailers[0], B=1e-9)
+        model = replace(model, retailers=(poor,) + model.retailers[1:])
+        problem, z, iu = level_step(model, interior_start(model), 0)
+        assert z[iu] == problem.upper[iu] == -math.expm1(-1e-9)
+        assert problem.operator(z)[iu] < 0.0
+
+    def test_negative_coupling(self):
+        # gamma < 0 pulls g down as shipments grow.  With the clamped
+        # model's losses raised to D = 5, g spans 1 over the drawn rival
+        # points, so some blocks pin at 0 and the others are interior.
+        model = clamped_exp1_model()
+        model = replace(model, retailers=tuple(replace(r, D=5.0) for r in model.retailers))
+        rng = np.random.default_rng(4)
+        pinned = interior = 0
+        for _ in range(20):
+            x = np.concatenate([rng.uniform(0.0, model.q_upper, model.m * model.n),
+                                rng.uniform(0.0, 0.9, model.m)])
+            for xi in range(model.m):
+                problem, z, iu = level_step(model, x, xi)
+                if z[iu] == 0.0:
+                    pinned += 1
+                    assert problem.operator(z)[iu] >= 0.0
+                else:
+                    interior += 1
+                    self.assert_interior_root(problem, z, iu)
+                assert abs(z[iu] - bisect_level(problem, z, iu)) <= 1e-12
+        assert pinned and interior
+
+    def test_level_pinned_at_zero(self):
+        # No losses and no security coupling: g = 0, F2 = 1/v > 0 everywhere.
+        model = experiment1().model
+        model = replace(model,
+                        markets=tuple(replace(mk, gamma=0.0) for mk in model.markets),
+                        retailers=tuple(replace(r, D=0.0) for r in model.retailers))
+        x = interior_start(model)
+        for xi in range(model.m):
+            problem, z, iu = level_step(model, x, xi)
+            assert z[iu] == 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_bisection_on_seeded_draws(self, m):
+        rng = np.random.default_rng(100 + m)
+        for _ in range(8):
+            model = experiment_model(tuple(rng.dirichlet(np.ones(m))))
+            # Budgets from 0.05 to 15: pinned at the cap, interior, and caps
+            # at U_CAP, where the level reading must not lose digits.
+            budgets = rng.choice([0.05, 1.0, 3.0, 15.0], size=m)
+            model = replace(model, retailers=tuple(
+                replace(r, B=float(B)) for r, B in zip(model.retailers, budgets)))
+            problem = ViProblem(model)
+            mn = model.m * model.n
+            x = np.concatenate([rng.uniform(0.0, model.q_upper, mn),
+                                rng.uniform(0.0, problem.upper[mn:])])
+            for xi in range(m):
+                problem, z, iu = level_step(model, x, xi)
+                assert abs(z[iu] - bisect_level(problem, z, iu)) <= 1e-12
+                if 0.0 < z[iu] < problem.upper[iu]:
+                    self.assert_interior_root(problem, z, iu)
 
 
 class TestVerifyEquilibrium:

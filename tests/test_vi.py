@@ -6,7 +6,7 @@ from dataclasses import replace
 
 from secgame import vi
 from secgame.model import MarketParams, ModelSpec, RetailerParams, TransactionCostParams
-from secgame.scenarios import experiment1, experiment5
+from secgame.scenarios import experiment1, experiment5, experiment_model
 from secgame.solver import SolverConfig, solve
 from secgame.vi import (U_CAP, BoxVi, DecisionVector, FdCheckReport, InvestmentVi,
                         ViProblem, fd_check, fd_check_random)
@@ -149,6 +149,27 @@ class TestOperator:
         x[4] = 1.0
         with pytest.raises(ValueError):
             exp1_problem.operator(x)
+
+    @pytest.mark.parametrize("model", [
+        experiment1().model,
+        experiment5().model,
+        *(experiment_model(tuple(np.random.default_rng(m).dirichlet(np.ones(m))))
+          for m in (1, 2, 3, 4)),
+    ], ids=["exp1", "exp5", "m1", "m2", "m3", "m4"])
+    def test_stack_matches_row_by_row_bit_for_bit(self, model):
+        problem = ViProblem(model)
+        rng = np.random.default_rng(model.m)
+        for k in (1, 5, 64):
+            X = np.array(random_points(problem, rng, k))
+            F = problem.operator(X)
+            assert F.shape == X.shape
+            assert np.array_equal(F, np.array([problem.operator(x) for x in X]))
+
+    def test_stack_rejects_any_row_at_level_one(self, exp1_problem):
+        X = np.array(random_points(exp1_problem, np.random.default_rng(0), 4))
+        X[2, 5] = 1.0
+        with pytest.raises(ValueError):
+            exp1_problem.operator(X)
 
     def test_monotonicity_probe(self, exp1_problem):
         # Empirical record on random feasible pairs; diagnostic for the
