@@ -513,7 +513,7 @@ class TestLevelStep:
             x = np.concatenate([rng.uniform(0.0, model.q_upper, mn),
                                 rng.uniform(0.0, problem.upper[mn:])])
             for xi in range(m):
-                problem, z, iu = level_step(model, x, xi)
+                z, iu = solver._block_best_response(problem, x, xi), mn + xi
                 assert abs(z[iu] - bisect_level(problem, z, iu)) <= 1e-12
                 if 0.0 < z[iu] < problem.upper[iu]:
                     self.assert_interior_root(problem, z, iu)
