@@ -6,10 +6,10 @@ are the fields of the parameter dataclasses and SolverConfig, required
 exactly when the field has no default; unknown keys and non-finite numbers
 are rejected with the offending path.  Exit codes: 0 success, 2 non-convergence (including a solve
 stopped by a non-finite operator value), 3 validation error, 4 verification
-failure.  Sweep CSV columns are
+failure.  Sweep CSV columns are param followed by SweepRow.columns(),
 param,u_1..u_m,Q_1_1..Q_m_n,lambda_1..lambda_m,EU_1..EU_m,residual,iters,converged
-with full-precision decimal numbers; identical invocations produce
-byte-identical files.
+with full-precision decimal numbers; ``solve --out`` writes the same columns
+without param.  Identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -199,28 +199,14 @@ def scenario_to_data(scenario: Scenario):
     }
 
 
-def _num(v):
-    """Full-precision, locale-independent decimal text for one number."""
+def _cell(v):
+    """Locale-independent CSV text for one value: true/false for a flag, the
+    integer for a count, full-precision decimal for any other number."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
     return repr(float(v))
-
-
-def _solution_fields(model, row):
-    cells = [_num(row.u[i]) for i in range(model.m)]
-    cells += [_num(row.Q[i, j]) for i in range(model.m) for j in range(model.n)]
-    cells += [_num(row.lam[i]) for i in range(model.m)]
-    cells += [_num(row.eu[i]) for i in range(model.m)]
-    cells += [_num(row.residual), str(int(row.iterations)),
-              "true" if row.converged else "false"]
-    return cells
-
-
-def _solution_header(model):
-    cols = [f"u_{i + 1}" for i in range(model.m)]
-    cols += [f"Q_{i + 1}_{j + 1}" for i in range(model.m) for j in range(model.n)]
-    cols += [f"lambda_{i + 1}" for i in range(model.m)]
-    cols += [f"EU_{i + 1}" for i in range(model.m)]
-    cols += ["residual", "iters", "converged"]
-    return cols
 
 
 def _write_lines(path, lines):
@@ -228,50 +214,46 @@ def _write_lines(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def _print_solution_table(scenario, row, report, out=None):
-    out = out if out is not None else sys.stdout
+def _print_solution_table(scenario, row, report):
     model = scenario.model
-    print(f"scenario: {scenario.name}  ({model.m} retailers x {model.n} markets)",
-          file=out)
+    print(f"scenario: {scenario.name}  ({model.m} retailers x {model.n} markets)")
     status = "yes" if report.converged else "NO"
     print(f"converged: {status}   residual: {report.final_residual:.3e}   "
-          f"iterations: {report.iterations}   beta retries: {report.beta_retries}",
-          file=out)
+          f"iterations: {report.iterations}   beta retries: {report.beta_retries}")
     header = f"{'retailer':>8} {'u':>12} {'lambda':>12} {'E(U)':>14}  " + "  ".join(
         f"{'Q->mkt ' + str(j + 1):>12}" for j in range(model.n))
-    print(header, file=out)
+    print(header)
     for i in range(model.m):
         qvals = "  ".join(f"{row.Q[i, j]:12.6f}" for j in range(model.n))
         print(f"{i + 1:>8} {row.u[i]:12.6f} {row.lam[i]:12.6f} "
-              f"{row.eu[i]:14.4f}  {qvals}", file=out)
-    print(f"network mean security: {row.u.mean():.6f}", file=out)
+              f"{row.eu[i]:14.4f}  {qvals}")
+    print(f"network mean security: {row.u.mean():.6f}")
 
 
 def cmd_solve(args):
     scenario = load_scenario(args.scenario)
-    problem, report = solve_scenario(scenario, record_trace=args.trace is not None)
+    trace = ["iteration,residual,beta,r"]
+
+    def trace_line(k, x, residual, beta, r):
+        trace.append(f"{k},{_cell(residual)},{_cell(beta)},{_cell(r)}")
+
+    problem, report = solve_scenario(
+        scenario, callback=trace_line if args.trace is not None else None)
     row = solution_row(problem, report)
     _print_solution_table(scenario, row, report)
     if scenario.name in REFERENCE_TARGETS:
-        print(reconciliation_report(scenario, row, report))
+        print(reconciliation_report(scenario, row))
     if args.out:
-        _write_lines(args.out, [",".join(_solution_header(scenario.model)),
-                                ",".join(_solution_fields(scenario.model, row))])
+        cols = row.columns()
+        _write_lines(args.out, [",".join(cols), ",".join(map(_cell, cols.values()))])
     if args.trace is not None:
-        lines = ["iteration,residual,beta,r"]
-        lines += [f"{k},{_num(res)},{_num(beta)},{_num(r)}"
-                  for k, (res, beta, r) in enumerate(report.trace)]
-        _write_lines(args.trace, lines)
+        _write_lines(args.trace, trace)
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
 def _sweep_csv_lines(result):
-    model = result.spec.scenario.model
-    header = ["param"] + _solution_header(model)
-    lines = [",".join(header)]
-    for row in result.rows:
-        lines.append(",".join([_num(row.value)] + _solution_fields(model, row)))
-    return lines
+    records = [{"param": row.value, **row.columns()} for row in result.rows]
+    return [",".join(records[0])] + [",".join(map(_cell, rec.values())) for rec in records]
 
 
 def cmd_sweep(args):
@@ -334,8 +316,11 @@ def cmd_verify(args):
         print(f"solve did not converge (residual {report.final_residual:.3e})")
         return EXIT_NO_CONVERGENCE
     point = problem.split(report.solution)
-    audit = verify_equilibrium(scenario.model, point, grid_density=args.grid,
-                               eps_br=args.eps)
+    try:
+        audit = verify_equilibrium(scenario.model, point, grid_density=args.grid,
+                                   eps_br=args.eps)
+    except ValueError as exc:  # the library's bounds on the grid density
+        raise SchemaError("--grid", str(exc)) from exc
     for i, gain in enumerate(audit.improvements):
         print(f"retailer {i + 1}: best unilateral improvement {gain:.6e}")
     if audit.certified:
@@ -354,7 +339,10 @@ def cmd_gradcheck(args):
     if args.variant == "literal-eq13":
         model = replace(model, loss_gradient_includes_multiplier=False)
     problem = ViProblem(model)
-    report = fd_check_random(problem, points=args.points, step=args.step)
+    try:
+        report = fd_check_random(problem, points=args.points, step=args.step)
+    except ValueError as exc:  # --points is checked above; the step is left
+        raise SchemaError("--step", str(exc)) from exc
     print(f"gradient check over {args.points} interior points: {report}")
     if report.max_rel_error > 1e-5:
         print("FAIL: operator disagrees with finite differences")

@@ -5,9 +5,12 @@ in which a retailer with market share t gets handling cost 10(1+t), budget
 3(1+t), attack loss 100(1+t), attack multiplier 1+t and transaction cost
 scale 1+t, over two markets with inverse demands -2d + 0.2*mean_u + 120 and
 -d + 0.4*mean_u + 250.  Sweeps re-solve a scenario along a parameter grid
-and report per-row equilibria; crossing detection locates where two series
-meet.  Reference values recorded alongside the scenarios are reproduced
-where possible and reported as unreconciled otherwise.
+and report per-row equilibria.  A row's ``columns()`` is the one layout of a
+solution record: the sweep series, the CSV files and crossing detection
+(where two named series meet) all read it.  solve_scenario passes solve's
+per-iteration callback through.  Reference values recorded alongside the
+scenarios are reproduced where possible and reported as unreconciled
+otherwise.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import MarketParams, ModelSpec, RetailerParams, TransactionCostParams
-from .solver import SolverConfig, SolverReport, solve
+from .solver import SolverConfig, solve
 from .vi import DecisionVector, InvestmentVi, ViProblem
 
 __all__ = [
@@ -251,6 +254,19 @@ class SweepRow:
     iterations: int
     converged: bool
 
+    def columns(self):
+        """The solution record as column name -> value, in CSV order:
+        u_1..u_m, Q_1_1..Q_m_n, lambda_1..lambda_m, EU_1..EU_m, residual,
+        iters, converged.  The only place these names are made."""
+        m, n = self.Q.shape
+        cols = {f"u_{i + 1}": self.u[i] for i in range(m)}
+        cols.update((f"Q_{i + 1}_{j + 1}", self.Q[i, j]) for i in range(m) for j in range(n))
+        cols.update((f"lambda_{i + 1}", self.lam[i]) for i in range(m))
+        cols.update((f"EU_{i + 1}", self.eu[i]) for i in range(m))
+        cols.update(residual=self.residual, iters=int(self.iterations),
+                    converged=bool(self.converged))
+        return cols
+
 
 @dataclass
 class SweepResult:
@@ -260,42 +276,32 @@ class SweepResult:
     rows: list = field(default_factory=list)
 
     def series(self, name):
-        """Extract a named column ("param", "u_1", "Q_1_2", "lambda_1", "EU_1", ...)."""
-        rows = self.rows
+        """One column over the rows: "param" or a key of SweepRow.columns();
+        any other name raises KeyError."""
         if name == "param":
-            return np.array([r.value for r in rows])
-        if name == "residual":
-            return np.array([r.residual for r in rows])
-        if name == "iters":
-            return np.array([r.iterations for r in rows])
-        if name == "converged":
-            return np.array([r.converged for r in rows])
-        qm = re.match(r"^Q_([0-9]+)_([0-9]+)$", name)
-        if qm:
-            i, j = int(qm.group(1)) - 1, int(qm.group(2)) - 1
-            return np.array([r.Q[i, j] for r in rows])
-        sm = re.match(r"^(u|lambda|EU)_([0-9]+)$", name)
-        if sm:
-            arrs = {"u": "u", "lambda": "lam", "EU": "eu"}[sm.group(1)]
-            i = int(sm.group(2)) - 1
-            return np.array([getattr(r, arrs)[i] for r in rows])
-        raise KeyError(f"unknown series {name!r}")
+            return np.array([r.value for r in self.rows])
+        try:
+            return np.array([r.columns()[name] for r in self.rows])
+        except KeyError:
+            raise KeyError(f"unknown series {name!r}") from None
 
 
-def _solve_game(problem, config, x0, record_trace=False):
+def _solve_game(problem, config, x0, callback=None):
     """Solve ``problem`` from the flat (Q, u) point ``x0`` in Jacobi-scaled
     (z, w) coordinates; the report's solution is mapped back to flat (Q, u)
-    and its residual is the (Q, u) natural residual."""
+    and its residual is the (Q, u) natural residual.  ``callback`` is
+    solve's per-iteration hook and sees the (z, w) iterates."""
     view = InvestmentVi(problem)
-    report = solve(view, config, x0=view.from_u(x0), record_trace=record_trace)
+    report = solve(view, config, x0=view.from_u(x0), callback=callback)
     report.solution = view.to_u(report.solution)
     return report
 
 
-def solve_scenario(scenario: Scenario, record_trace=False):
-    """Assemble and solve one scenario; returns (problem, report)."""
+def solve_scenario(scenario: Scenario, callback=None):
+    """Assemble and solve one scenario; returns (problem, report).
+    ``callback`` is passed to solve as its per-iteration hook."""
     problem = ViProblem(scenario.model)
-    report = _solve_game(problem, scenario.config, scenario.x0.flat(), record_trace)
+    report = _solve_game(problem, scenario.config, scenario.x0.flat(), callback)
     return problem, report
 
 
@@ -331,21 +337,15 @@ def run_sweep(spec: SweepSpec, warm_start=True):
 
 
 def find_crossing(result: SweepResult, series_a, series_b):
-    """Locate where two sweep series meet, by linear interpolation.
+    """Locate where two named sweep series meet, by linear interpolation.
 
-    Accepts series names or explicit arrays.  Only converged rows are
-    considered.  Returns the interpolated parameter value of the first sign
-    change of (a - b), or None when the difference never strictly changes
-    sign (constant or one-sided series give None).
+    Only converged rows are considered.  Returns the interpolated parameter
+    value of the first sign change of (a - b), or None when the difference
+    never strictly changes sign (constant or one-sided series give None).
     """
-    a = result.series(series_a) if isinstance(series_a, str) else np.asarray(series_a, float)
-    b = result.series(series_b) if isinstance(series_b, str) else np.asarray(series_b, float)
-    params = result.series("param")
-    if len(a) != len(params) or len(b) != len(params):
-        raise ValueError("series length does not match the sweep")
     mask = result.series("converged")
-    p = params[mask]
-    d = (a - b)[mask]
+    p = result.series("param")[mask]
+    d = (result.series(series_a) - result.series(series_b))[mask]
     keep = d != 0.0
     p, d = p[keep], d[keep]
     for i in range(len(d) - 1):
@@ -355,25 +355,25 @@ def find_crossing(result: SweepResult, series_a, series_b):
     return None
 
 
-def reconciliation_report(scenario: Scenario, point, report: SolverReport):
+def reconciliation_report(scenario: Scenario, row: SweepRow):
     """Side-by-side comparison of the computed equilibrium and the recorded
     reference values, including the stationarity residuals at the reference
     point when one is available.  Values are printed, never forced to agree.
-    ``point`` is any record with the computed ``u`` and ``Q``.
+    ``row`` is the solve's solution_row.
     """
     model = scenario.model
     lines = [f"reconciliation [{scenario.name}]"]
     ref = REFERENCE_TARGETS.get(scenario.name)
-    u_bar = float(point.u.mean())
-    lines.append(f"  computed u      : {np.array2string(point.u, precision=6)}"
+    u_bar = float(row.u.mean())
+    lines.append(f"  computed u      : {np.array2string(row.u, precision=6)}"
                  f"   mean {u_bar:.6f}")
     if ref is not None and "u" in ref:
         lines.append(f"  reference u     : {np.array2string(ref['u'], precision=6)}"
                      f"   mean {ref['u_bar']:.6f}")
         lines.append(f"  level gap       : "
-                     f"{np.array2string(point.u - ref['u'], precision=6)}")
-    lines.append(f"  computed Q      : {np.array2string(point.Q.ravel(), precision=4)}")
-    if ref is not None and "Q" in ref and ref["Q"].shape == point.Q.shape:
+                     f"{np.array2string(row.u - ref['u'], precision=6)}")
+    lines.append(f"  computed Q      : {np.array2string(row.Q.ravel(), precision=4)}")
+    if ref is not None and "Q" in ref and ref["Q"].shape == row.Q.shape:
         lines.append(f"  reference Q     : {np.array2string(ref['Q'].ravel(), precision=4)}")
         problem = ViProblem(model)
         ref_point = DecisionVector(ref["Q"], ref["u"])
@@ -390,8 +390,8 @@ def reconciliation_report(scenario: Scenario, point, report: SolverReport):
     if ref is not None and "u" in ref and "Q" not in ref:
         lines.append("    reference levels are recorded as unreconciled targets for"
                      " this scenario.")
-    lines.append(f"  residual {report.final_residual:.3e}  iterations {report.iterations}"
-                 f"  converged {report.converged}")
+    lines.append(f"  residual {row.residual:.3e}  iterations {row.iterations}"
+                 f"  converged {row.converged}")
     return "\n".join(lines)
 
 

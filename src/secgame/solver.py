@@ -5,7 +5,9 @@ measures the shrinkage ratio r = beta * |F(X) - F(Xt)| / |X - Xt|, retries
 with a smaller beta while r exceeds its upper limit, then corrects along the
 direction d = (X - Xt) - beta * (F(X) - F(Xt)) with relaxation rho.  When r
 falls below its lower limit the step size is enlarged for the next
-iteration.  Termination is on the sup-norm natural residual.
+iteration.  Termination is on the sup-norm natural residual.  A solve has
+one observation hook: an optional callback that sees every accepted
+iteration's iterate, residual, step size and ratio.
 
 Also provides a Gauss-Seidel best-response driver and a grid-search
 equilibrium verifier, both used as independent cross-checks of the main
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ModelSpec
-from .vi import DecisionVector, ViProblem
+from .vi import DecisionVector, ViProblem, level_caps
 
 __all__ = [
     "SolverConfig",
@@ -94,9 +96,7 @@ class SolverReport:
     natural residual; for ``best_response_solve``, the last sweep's maximum
     block change.  ``beta_retries`` counts shrunken prediction steps of
     ``solve``; it is always 0 for ``best_response_solve``, which takes no
-    such steps.  ``trace`` holds per-iteration (residual, beta, r) triples
-    when recording was requested; beta and r belong to the coordinates the
-    problem is solved in.
+    such steps.
     """
 
     solution: np.ndarray
@@ -104,7 +104,6 @@ class SolverReport:
     final_residual: float
     converged: bool
     beta_retries: int = 0
-    trace: list = None
 
 
 def predict(problem, x, beta, fx=None):
@@ -144,20 +143,23 @@ def correct(x, x_tilde, beta, fx, f_tilde, rho):
     return x - rho * delta * d
 
 
-def solve(problem, config=None, x0=None, record_trace=False, iterate_callback=None):
+def solve(problem, config=None, x0=None, callback=None):
     """Run the projection-contraction iteration until the residual meets tol.
 
     Deterministic: identical inputs produce identical iterate sequences.
     Non-convergence within max_iter is reported (converged=False), not
     raised; non-finite operator values raise SolverNumericError.
-    ``iterate_callback(k, x)`` is invoked after every accepted iteration.
+    ``callback(k, x, residual, beta, r)`` is invoked after every accepted
+    iteration k with the corrected iterate x, the residual measured at the
+    start of the iteration, and the step size beta and ratio r of the
+    accepted prediction, before beta grows; x, beta and r belong to the
+    coordinates the problem is solved in.
     """
     if config is None:
         config = SolverConfig()
     x = problem.project(np.asarray(x0, dtype=float)) if x0 is not None else problem.default_start()
     beta = config.beta0
     retries = 0
-    trace = [] if record_trace else None
     residual = math.inf
     iterations = 0
 
@@ -170,7 +172,7 @@ def solve(problem, config=None, x0=None, record_trace=False, iterate_callback=No
             raise SolverNumericError("operator returned non-finite values", iterations)
         residual = problem.natural_residual(x, fx)
         if residual <= config.tol:
-            return SolverReport(x, iterations, residual, True, retries, trace)
+            return SolverReport(x, iterations, residual, True, retries)
         if iterations == config.max_iter:
             break
 
@@ -180,8 +182,7 @@ def solve(problem, config=None, x0=None, record_trace=False, iterate_callback=No
                 raise SolverNumericError("operator returned non-finite values", iterations)
             if r == 0.0 and np.array_equal(x_tilde, x):
                 # Stalled: the projected step no longer moves the iterate.
-                return SolverReport(x, iterations, residual, residual <= config.tol,
-                                    retries, trace)
+                return SolverReport(x, iterations, residual, residual <= config.tol, retries)
             if r <= config.nu:
                 break
             beta *= (2.0 / 3.0) * min(1.0, 1.0 / r)
@@ -191,14 +192,12 @@ def solve(problem, config=None, x0=None, record_trace=False, iterate_callback=No
         # the box, where the level cost -ln(1-u) is undefined.  Projection is
         # nonexpansive toward any feasible point, so contraction is kept.
         x = problem.project(correct(x, x_tilde, beta, fx, f_tilde, config.rho))
-        if record_trace:
-            trace.append((residual, beta, r))
+        if callback is not None:
+            callback(iterations, x, residual, beta, r)
         if r <= config.mu:
             beta *= 1.5
-        if iterate_callback is not None:
-            iterate_callback(iterations, x)
 
-    return SolverReport(x, iterations, residual, False, retries, trace)
+    return SolverReport(x, iterations, residual, False, retries)
 
 
 def _block_best_response(problem: ViProblem, x, x_idx):
@@ -370,7 +369,7 @@ def verify_equilibrium(model: ModelSpec, point: DecisionVector, grid_density=50,
                          f"per retailer for {n} markets; the limit is {_MAX_GRID_POINTS}")
     improvements = np.zeros(m)
     best_points = []
-    u_caps = ViProblem(model).upper[m * n:]
+    u_caps = level_caps(model)
 
     for x_idx in range(m):
         base = model.expected_utility(x_idx, point.Q, point.u)

@@ -88,9 +88,6 @@ class DecisionVector:
     def flat(self):
         return np.concatenate([self.Q.ravel(), self.u])
 
-    def copy(self):
-        return DecisionVector(self.Q.copy(), self.u.copy(), self.lam.copy())
-
 
 class BoxVi:
     """A variational inequality F over a box: lower <= X <= upper."""

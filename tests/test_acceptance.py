@@ -22,7 +22,7 @@ from secgame.reference import affine_vi_10d
 from secgame.scenarios import (REFERENCE_TARGETS, apply_parameter, builtin_sweep,
                                crossing_reconciliation, experiment1, experiment5,
                                find_crossing, reconciliation_report, run_sweep,
-                               solve_scenario)
+                               solution_row, solve_scenario)
 from secgame.solver import SolverConfig, best_response_solve, solve, verify_equilibrium
 from secgame.vi import ViProblem, fd_check_random
 
@@ -158,7 +158,7 @@ def test_criterion_2_quantity_reconciliation(exp1_solved):
     gaps = budget_gaps(model, point)
     slack = np.abs(point.lam * np.abs(gaps))
     audit = verify_equilibrium(model, point, grid_density=50, eps_br=1e-3)
-    text = reconciliation_report(experiment1(), point, report)
+    text = reconciliation_report(experiment1(), solution_row(problem, report))
     shows_both = "10.94" in text and f"{point.Q[0, 0]:.4f}"[:6] in text
     ok = (residual <= 1e-7 and slack.max() <= 1e-6 and gaps.max() <= 1e-8
           and audit.max_improvement <= 1e-3 and shows_both)
@@ -308,7 +308,7 @@ def test_criterion_8_affine_reference_problem():
     vi, x_star, _, _ = affine_vi_10d()
     dists = []
     report = solve(vi, SolverConfig(tol=1e-9),
-                   iterate_callback=lambda k, x: dists.append(
+                   callback=lambda k, x, *_: dists.append(
                        float(np.linalg.norm(x - x_star))))
     err = float(np.max(np.abs(report.solution - x_star)))
     fejer = bool(np.all(np.diff(np.array(dists)) <= 1e-10))

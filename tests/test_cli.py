@@ -389,6 +389,10 @@ class TestVerifyCommand:
         assert run(["verify", "exp1", "--grid", "1000"]) == EXIT_VALIDATION
         assert "lattice points" in capsys.readouterr().err
 
+    def test_too_coarse_grid_names_the_option(self, capsys):
+        assert run(["verify", "exp1", "--grid", "1"]) == EXIT_VALIDATION
+        assert "error: --grid: grid_density must be at least 2" in capsys.readouterr().err
+
     def test_sloppy_solve_fails_verification(self, tmp_path, capsys):
         data = scenario_to_data(experiment1())
         # At tol 1 the solve stops where a unilateral deviation still gains
@@ -425,6 +429,10 @@ class TestGradcheckCommand:
 
     def test_zero_points_is_usage_error(self, capsys):
         assert run(["gradcheck", "exp1", "--points", "0"]) == EXIT_VALIDATION
+
+    def test_out_of_range_step_names_the_option(self, capsys):
+        assert run(["gradcheck", "exp1", "--step", "1"]) == EXIT_VALIDATION
+        assert "error: --step: step must lie in [1e-7, 1e-4]" in capsys.readouterr().err
 
 
 class TestSchemaHelpers:

@@ -176,7 +176,7 @@ class TestSolveAffine:
         vi, x_star, _, _ = affine_vi_10d()
         dists = []
         solve(vi, SolverConfig(tol=1e-9),
-              iterate_callback=lambda k, x: dists.append(np.linalg.norm(x - x_star)))
+              callback=lambda k, x, *_: dists.append(np.linalg.norm(x - x_star)))
         diffs = np.diff(np.array(dists))
         assert np.all(diffs <= 1e-10)
 
@@ -202,18 +202,20 @@ class TestSolveAffine:
     def test_accepted_ratios_stay_below_upper_limit(self):
         vi, _, _, _ = affine_vi_10d()
         cfg = SolverConfig(tol=1e-8)
-        report = solve(vi, cfg, record_trace=True)
-        assert report.trace, "expected a nonempty trace"
-        for _, beta, r in report.trace:
+        trace = []
+        solve(vi, cfg, callback=lambda k, x, *step: trace.append(step))
+        assert trace, "expected a nonempty trace"
+        for _, beta, r in trace:
             assert beta > 0
             assert r <= cfg.nu + 1e-12
 
     def test_determinism_bitwise(self):
         vi, _, _, _ = affine_vi_10d()
-        r1 = solve(vi, SolverConfig(tol=1e-9), record_trace=True)
-        r2 = solve(vi, SolverConfig(tol=1e-9), record_trace=True)
+        t1, t2 = [], []
+        r1 = solve(vi, SolverConfig(tol=1e-9), callback=lambda k, x, *step: t1.append(step))
+        r2 = solve(vi, SolverConfig(tol=1e-9), callback=lambda k, x, *step: t2.append(step))
         assert np.array_equal(r1.solution, r2.solution)
-        assert r1.trace == r2.trace
+        assert t1 == t2
         assert r1.iterations == r2.iterations
 
     def test_numeric_error_carries_iteration(self):
