@@ -138,20 +138,14 @@ def scenario_from_data(data, name="scenario"):
     x0 = None
     if "initial" in data:
         idata = data["initial"]
-        _check_keys(idata, ipath, required=("Q", "u"), optional=("lambda",))
+        _check_keys(idata, ipath, required=("Q", "u"))
         try:
             x0 = DecisionVector(np.array(idata["Q"], dtype=float),
                                 np.array(idata["u"], dtype=float))
-            lam = np.array(idata.get("lambda", x0.lam), dtype=float)
         except (TypeError, ValueError) as exc:
             raise SchemaError(ipath, str(exc)) from exc
         if not (np.all(np.isfinite(x0.Q)) and np.all(np.isfinite(x0.u))):
             raise SchemaError(ipath, "expected finite numbers")
-        # The multipliers are recovered from each solution, so a given lambda
-        # is validated but does not enter the start.
-        if lam.shape != x0.u.shape or not np.all(np.isfinite(lam) & (lam >= 0.0)):
-            raise SchemaError(f"{ipath}.lambda",
-                              "expected finite nonnegative numbers, one per retailer")
 
     config = SolverConfig()
     if "solver" in data:
@@ -231,6 +225,14 @@ def _print_solution_table(scenario, row, report):
 
 
 def cmd_solve(args):
+    if args.dump:
+        # --dump solves nothing, so an output path would be dropped without
+        # a word.
+        for flag, value in (("--out", args.out), ("--trace", args.trace)):
+            if value is not None:
+                raise SchemaError(flag, "not accepted with --dump")
+        print(json.dumps(scenario_to_data(load_scenario(args.scenario)), indent=2))
+        return EXIT_OK
     scenario = load_scenario(args.scenario)
     trace = ["iteration,residual,beta,r"]
 
@@ -405,10 +407,6 @@ def main(argv=None):
 
     try:
         if args.command == "solve":
-            if args.dump:
-                scenario = load_scenario(args.scenario)
-                print(json.dumps(scenario_to_data(scenario), indent=2))
-                return EXIT_OK
             return cmd_solve(args)
         if args.command == "sweep":
             return cmd_sweep(args)

@@ -314,14 +314,13 @@ def solution_row(problem, report, value=math.nan):
                     report.final_residual, report.iterations, report.converged)
 
 
-def run_sweep(spec: SweepSpec, warm_start=True):
+def run_sweep(spec: SweepSpec):
     """Solve the scenario at every grid value of the swept parameter.
 
     Rows are produced for every grid point even when a solve fails to
-    converge (the row is flagged).  With warm_start (the default) each row
-    starts from the previous converged row's solution; otherwise every row
-    starts from the scenario's own initial point.  Row order follows the
-    grid.
+    converge (the row is flagged).  Each row starts from the solution of
+    the last converged row before it, or from the scenario's own initial
+    point when there is none.  Row order follows the grid.
     """
     rows = []
     prev = None
@@ -331,7 +330,7 @@ def run_sweep(spec: SweepSpec, warm_start=True):
         # solve projects the start into this row's box.
         report = _solve_game(problem, scen.config, scen.x0.flat() if prev is None else prev)
         rows.append(solution_row(problem, report, value))
-        if warm_start and report.converged:
+        if report.converged:
             prev = report.solution
     return SweepResult(spec, rows)
 

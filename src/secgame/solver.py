@@ -53,34 +53,28 @@ class DegenerateDirectionError(RuntimeError):
     """Correction direction vanished while the prediction step did not."""
 
 
+# Projection-contraction constants; standard values that no caller varies.
+BETA0 = 1.0  # initial projection step size
+NU = 0.9     # ratio upper limit: predictions with r > NU are redone with a smaller beta
+MU = 0.3     # ratio lower limit: r <= MU lets beta grow by 1.5x for the next iteration
+RHO = 1.9    # relaxation factor of the correction step, in (0, 2)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Algorithm parameters; the defaults follow standard practice.
+    """Stopping rule of a solve; the step and ratio constants of the
+    projection-contraction iteration are fixed (BETA0, NU, MU, RHO).
 
-    beta0   initial projection step size
-    nu      ratio upper limit: predictions with r > nu are redone with a
-            smaller beta
-    mu      ratio lower limit: r <= mu allows beta to grow by 1.5x
-    rho     relaxation factor of the correction step, in (0, 2)
-    tol     sup-norm natural-residual stopping threshold
+    tol       sup-norm natural-residual stopping threshold
+    max_iter  iteration budget; a solve that exhausts it is unconverged
     """
 
-    beta0: float = 1.0
-    nu: float = 0.9
-    mu: float = 0.3
-    rho: float = 1.9
     tol: float = 1e-7
     max_iter: int = 200_000
 
     def __post_init__(self):
-        if not 0.0 < self.mu < self.nu < 1.0:
-            raise ValueError("need 0 < mu < nu < 1")
-        if not 0.0 < self.rho < 2.0:
-            raise ValueError("relaxation rho must lie in (0, 2)")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if self.beta0 <= 0.0:
-            raise ValueError("beta0 must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
 
@@ -158,7 +152,7 @@ def solve(problem, config=None, x0=None, callback=None):
     if config is None:
         config = SolverConfig()
     x = problem.project(np.asarray(x0, dtype=float)) if x0 is not None else problem.default_start()
-    beta = config.beta0
+    beta = BETA0
     retries = 0
     residual = math.inf
     iterations = 0
@@ -183,7 +177,7 @@ def solve(problem, config=None, x0=None, callback=None):
             if r == 0.0 and np.array_equal(x_tilde, x):
                 # Stalled: the projected step no longer moves the iterate.
                 return SolverReport(x, iterations, residual, residual <= config.tol, retries)
-            if r <= config.nu:
+            if r <= NU:
                 break
             beta *= (2.0 / 3.0) * min(1.0, 1.0 / r)
             retries += 1
@@ -191,10 +185,10 @@ def solve(problem, config=None, x0=None, callback=None):
         # Re-project the corrected point: the raw correction step can leave
         # the box, where the level cost -ln(1-u) is undefined.  Projection is
         # nonexpansive toward any feasible point, so contraction is kept.
-        x = problem.project(correct(x, x_tilde, beta, fx, f_tilde, config.rho))
+        x = problem.project(correct(x, x_tilde, beta, fx, f_tilde, RHO))
         if callback is not None:
             callback(iterations, x, residual, beta, r)
-        if r <= config.mu:
+        if r <= MU:
             beta *= 1.5
 
     return SolverReport(x, iterations, residual, False, retries)

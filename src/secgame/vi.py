@@ -77,14 +77,6 @@ class DecisionVector:
         if self.Q.ndim != 2 or not self.u.shape == self.lam.shape == self.Q.shape[:1]:
             raise ValueError("inconsistent shapes for (Q, u, lambda)")
 
-    @property
-    def m(self):
-        return self.Q.shape[0]
-
-    @property
-    def n(self):
-        return self.Q.shape[1]
-
     def flat(self):
         return np.concatenate([self.Q.ravel(), self.u])
 

@@ -99,17 +99,29 @@ class TestSolveCommand:
         path.write_text(json.dumps(data))
         assert run(["solve", str(path)]) == EXIT_OK
 
-    def test_initial_lambda_is_optional(self, tmp_path, capsys):
+    @pytest.mark.parametrize("section, key, value", [
+        ("initial", "lambda", [0.5, 2.0]),
+        ("solver", "rho", 1.9),
+        ("solver", "beta0", 1.0),
+    ])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, section, key, value):
+        # The multipliers are recovered from each solution and the
+        # projection-contraction constants are fixed, so neither is read.
         data = scenario_to_data(experiment1())
-        data["initial"]["lambda"] = [0.5, 2.0]
-        with_lam, without = tmp_path / "with.json", tmp_path / "without.json"
-        with_lam.write_text(json.dumps(data))
-        del data["initial"]["lambda"]
-        without.write_text(json.dumps(data))
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run(["solve", str(with_lam), "--out", str(out1)]) == EXIT_OK
-        assert run(["solve", str(without), "--out", str(out2)]) == EXIT_OK
-        assert out1.read_bytes() == out2.read_bytes()
+        data[section][key] = value
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(data))
+        assert run(["solve", str(path)]) == EXIT_VALIDATION
+        assert f"error: old.json.{section}.{key}: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--out", "--trace"])
+    def test_dump_refuses_output_options(self, tmp_path, capsys, option):
+        target = tmp_path / "x.csv"
+        assert run(["solve", "exp1", "--dump", option, str(target)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"error: {option}: not accepted with --dump" in captured.err
+        assert captured.out == ""
+        assert not target.exists()
 
     def test_missing_markets_names_the_path(self, tmp_path, capsys):
         data = scenario_to_data(experiment1())
@@ -156,9 +168,6 @@ class TestSolveCommand:
         ("retailer", "B", float("nan"), "model.retailers[0].B: expected a finite number"),
         ("market", "kappa", float("inf"), "model.markets[0].kappa: expected a finite"),
         ("initial", "u", [float("-inf"), 0.0], "initial: expected finite numbers"),
-        ("initial", "lambda", [float("nan"), 0.0], "initial.lambda: expected finite"),
-        ("initial", "lambda", [-1.0, 0.0], "initial.lambda: expected finite nonnegative"),
-        ("initial", "lambda", [0.0, 0.0, 0.0], "initial.lambda: expected finite nonnegative"),
     ])
     def test_non_finite_number_names_the_path(self, tmp_path, capsys, section, key,
                                               value, where):
