@@ -84,10 +84,12 @@ class TestConfig:
         assert cfg.tol == 1e-7 and cfg.max_iter == 200_000
         assert (solver.BETA0, solver.NU, solver.MU, solver.RHO) == (1.0, 0.9, 0.3, 1.9)
 
+    # The ids are the ones these cases had when the list also held the
+    # step and ratio settings, so their results stay comparable by name.
     @pytest.mark.parametrize("kwargs", [
         {"tol": 0.0},
         {"max_iter": -1},
-    ])
+    ], ids=["kwargs4", "kwargs6"])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
