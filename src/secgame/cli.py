@@ -24,15 +24,13 @@ import sys
 import typing
 from dataclasses import MISSING, replace
 
-import numpy as np
-
 from .model import ModelSpec
 from .scenarios import (BUILTIN_SCENARIOS, CROSSING_BANDS, REFERENCE_TARGETS, Scenario,
                         SweepSpec, builtin_sweep, crossing_reconciliation, find_crossing,
                         reconciliation_report, run_sweep, scenario_by_name, solution_row,
                         solve_scenario)
 from .solver import SolverConfig, SolverNumericError, verify_equilibrium
-from .vi import DecisionVector, ViProblem, fd_check_random, level_caps
+from .vi import DecisionVector, FdDomainError, ViProblem, fd_check_random, level_caps
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 2
@@ -91,6 +89,19 @@ def _array(obj, path):
     return obj
 
 
+def _vector(obj, path):
+    """An array of numbers, each read by _number with its own path."""
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(_array(obj, path))]
+
+
+def _matrix(obj, path):
+    """An array of equal-length arrays of numbers."""
+    rows = [_vector(row, f"{path}[{i}]") for i, row in enumerate(_array(obj, path))]
+    if len({len(row) for row in rows}) > 1:
+        raise SchemaError(path, "expected rows of equal length")
+    return rows
+
+
 _SCALAR_READERS = {float: _number, int: _integer, bool: _flag}
 
 
@@ -139,13 +150,12 @@ def scenario_from_data(data, name="scenario"):
     if "initial" in data:
         idata = data["initial"]
         _check_keys(idata, ipath, required=("Q", "u"))
+        Q = _matrix(idata["Q"], f"{ipath}.Q")
+        u = _vector(idata["u"], f"{ipath}.u")
         try:
-            x0 = DecisionVector(np.array(idata["Q"], dtype=float),
-                                np.array(idata["u"], dtype=float))
-        except (TypeError, ValueError) as exc:
+            x0 = DecisionVector(Q, u)  # checks the shapes
+        except ValueError as exc:
             raise SchemaError(ipath, str(exc)) from exc
-        if not (np.all(np.isfinite(x0.Q)) and np.all(np.isfinite(x0.u))):
-            raise SchemaError(ipath, "expected finite numbers")
 
     config = SolverConfig()
     if "solver" in data:
@@ -343,10 +353,12 @@ def cmd_gradcheck(args):
     problem = ViProblem(model)
     try:
         report = fd_check_random(problem, points=args.points, step=args.step)
+    except FdDomainError as exc:
+        raise SchemaError(f"{scenario.name}.model.{exc.field}", str(exc)) from exc
     except ValueError as exc:  # --points is checked above; the step is left
         raise SchemaError("--step", str(exc)) from exc
     print(f"gradient check over {args.points} interior points: {report}")
-    if report.max_rel_error > 1e-5:
+    if not report.max_rel_error <= 1e-5:  # a NaN error fails too
         print("FAIL: operator disagrees with finite differences")
         return EXIT_VERIFICATION
     print("PASS")

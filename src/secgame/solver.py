@@ -9,12 +9,13 @@ iteration.  Termination is on the sup-norm natural residual.  A solve has
 one observation hook: an optional callback that sees every accepted
 iteration's iterate, residual, step size and ratio.
 
-Also provides a Gauss-Seidel best-response driver and a grid-search
-equilibrium verifier, both used as independent cross-checks of the main
-solve.  The best-response driver runs no projection-contraction step: with
-rivals frozen, each retailer's shipments solve affine first-order conditions
-in closed form, and its level condition is a scalar quadratic in 1 - u whose
-root, clipped to the budget bound, is also taken in closed form.
+Also provides a Gauss-Seidel best-response iteration and an equilibrium
+audit, exact in the shipments and a grid search in the level, both used as
+independent cross-checks of the main solve.  The best-response iteration runs
+no projection-contraction step: with rivals frozen, each retailer's
+shipments solve affine first-order conditions in closed form, and its level
+condition is a scalar quadratic in 1 - u whose root, clipped to the budget
+bound, is also taken in closed form.
 """
 
 from __future__ import annotations
@@ -142,7 +143,8 @@ def solve(problem, config=None, x0=None, callback=None):
 
     Deterministic: identical inputs produce identical iterate sequences.
     Non-convergence within max_iter is reported (converged=False), not
-    raised; non-finite operator values raise SolverNumericError.
+    raised; non-finite operator values, and a shrinkage ratio that overflows
+    on a retry, raise SolverNumericError.
     ``callback(k, x, residual, beta, r)`` is invoked after every accepted
     iteration k with the corrected iterate x, the residual measured at the
     start of the iteration, and the step size beta and ratio r of the
@@ -179,6 +181,9 @@ def solve(problem, config=None, x0=None, callback=None):
                 return SolverReport(x, iterations, residual, residual <= config.tol, retries)
             if r <= NU:
                 break
+            if not math.isfinite(r):
+                # |F(X) - F(Xt)| overflowed, so the shrunken step would be 0.
+                raise SolverNumericError("shrinkage ratio is not finite", iterations)
             beta *= (2.0 / 3.0) * min(1.0, 1.0 / r)
             retries += 1
 
@@ -291,8 +296,11 @@ class VerificationReport:
     """Best-response audit of a candidate equilibrium.
 
     ``improvements[x]`` is the largest gain in expected utility retailer x
-    could find by grid search over its own feasible block with rivals fixed;
-    the point is certified when every improvement is at most eps_br.
+    could find over its own feasible block with rivals fixed, or NaN when
+    the audit could not read its value function (a non-finite value, or
+    values that are not quadratic in the own shipments).  The point is
+    certified when every improvement is at most eps_br, so a NaN never
+    certifies.  ``best_points[x]`` is the maximising (shipments, level).
     """
 
     improvements: np.ndarray
@@ -306,33 +314,65 @@ class VerificationReport:
         return float(self.improvements.max())
 
 
-def _own_move_values(model: ModelSpec, x_idx, point: DecisionVector, u_axis, q_axes):
-    """Retailer x_idx's utility on its own-move axes, split by market.
+# Own shipments, as fractions of q_upper, at which each market term is read:
+# the quadratic through 0 is fitted to the first two, the third checks it.
+_PROBES = np.array([0.5, 1.0, 0.25])
 
-    For a fixed own level u the utility is g(u) + sum_y f_y(Q[x, y], u):
-    each market term depends on its own shipment alone and f_y(0, u) = 0.
-    Returns g(u) over ``u_axis`` (shape (d_u,)) and f_y(q, u) over
-    ``u_axis`` x ``q_axes[y]`` (shape (n, d_u, d_q)), both read off the
-    model's batched value function with rivals held at ``point``.
+# A quarter-point reading may differ from the fitted quadratic by this much,
+# relative to the largest reading of its market and level.  Rounding leaves
+# a few ulps; a value function that is not quadratic leaves far more.
+_QUADRATIC_RTOL = 1e-9
+
+
+def _own_move_readings(model: ModelSpec, x_idx, point: DecisionVector, u_axis):
+    """Retailer x_idx's utility at 1 + 3n own shipment patterns and the own
+    levels ``u_axis``, with rivals held at ``point``; shape (1 + 3n, d_u).
+
+    Pattern 0 ships nothing.  Pattern 1 + 3y + k ships q_upper * _PROBES[k]
+    into market y and nothing elsewhere.  One call to the model's batched
+    value function reads them all.
     """
     n = model.n
-    d_q = q_axes.shape[1]
     u = np.repeat(point.u[None], len(u_axis), axis=0)
     u[:, x_idx] = u_axis
-    Q0 = point.Q.copy()
-    Q0[x_idx] = 0.0
-    g = model.expected_utility_batch(x_idx, Q0, u)
-    # Market y's slab ships q_axes[y] into y and nothing elsewhere.
-    Q = np.tile(Q0, (n, d_q, 1, 1))
+    Q = np.repeat(point.Q[None], 1 + 3 * n, axis=0)
+    Q[:, x_idx] = 0.0
     for y in range(n):
-        Q[y, :, x_idx, y] = q_axes[y]
-    f = model.expected_utility_batch(x_idx, Q[:, None], u[None, :, None]) - g[:, None]
-    return g, f
+        Q[1 + 3 * y:4 + 3 * y, x_idx, y] = model.q_upper * _PROBES
+    return model.expected_utility_batch(x_idx, Q[:, None], u[None])
 
 
-# Largest own-move lattice verify_equilibrium will audit for one retailer.
-# The separable pass builds only n * density**2 values, but the refusal
-# keeps the --grid range of the full-lattice audit it reproduces.
+def _market_maxima(readings):
+    """Each market term's maximum over [0, q_upper] from ``readings``.
+
+    For a fixed own level u the utility is g(u) + sum_y f_y(Q[x, y], u),
+    where f_y(0, u) = 0 and f_y is a quadratic in its own shipment alone
+    with leading coefficient alpha_y - a s < 0.  In t = q / q_upper,
+    f = a t^2 + b t through the readings at t = 1/2 and 1 gives
+    a = 2 f(1) - 4 f(1/2) and b = 4 f(1/2) - f(1); the reading at t = 1/4
+    must equal a/16 + b/4.  Returns (totals, t): totals[i] = g + sum_y
+    max_t f_y at the i-th level and t[y, i] the maximising fraction, or
+    None when a reading is not finite or a quarter-point check fails.
+    """
+    g = readings[0]
+    probes = readings[1:].reshape(-1, 3, len(g))  # (market, probe, level)
+    half, full, quarter = (probes - g).transpose(1, 0, 2)
+    a = 2.0 * full - 4.0 * half
+    b = 4.0 * half - full
+    scale = np.maximum(np.abs(probes).max(axis=1), np.abs(g))
+    quadratic = np.abs(quarter - (a / 16.0 + b / 4.0)) <= _QUADRATIC_RTOL * scale
+    # a < 0 under the model validators; if rounding says otherwise, the
+    # maximum of the fitted quadratic lies at an end of [0, 1].
+    t = np.where(a < 0.0, np.clip(-b / (2.0 * a), 0.0, 1.0), (a + b > 0.0).astype(float))
+    totals = g + ((a * t + b) * t).sum(axis=0)
+    if not (np.all(np.isfinite(readings)) and np.all(quadratic)
+            and np.all(np.isfinite(totals))):
+        return None
+    return totals, t
+
+
+# Bound on density**(n+1) per retailer: it sets the range --grid accepts,
+# not an allocation, since a pass reads only density * (1 + 3n) values.
 _MAX_GRID_POINTS = 10_000_000
 
 
@@ -342,17 +382,20 @@ def _grid_axes(lo, hi, density):
 
 def verify_equilibrium(model: ModelSpec, point: DecisionVector, grid_density=50,
                        eps_br=1e-3, refinements=2):
-    """Certify the Nash property of a candidate point by brute-force search.
+    """Certify the Nash property of a candidate point by a best-response audit.
 
-    For each retailer the own block (quantities over [0, q_upper]^n, level
-    over the budget-feasible range of the VI box) is scanned on a lattice
-    with rivals fixed, then the lattice is refined around the best cell.
-    Each market term of the utility depends on its own shipment only, so
-    the lattice maximum is max_u [g(u) + sum_y max_q f_y(q, u)], found at
-    n * grid_density**2 evaluations per pass instead of
-    grid_density**(n+1).  Purely diagnostic; a positive improvement means
-    the retailer could deviate profitably.  Lattices above _MAX_GRID_POINTS
-    points per retailer are refused with ValueError rather than coarsened.
+    For each retailer, with rivals fixed, the own level is scanned on a grid
+    of grid_density points over the budget-feasible range of the VI box,
+    then the grid is refined around the best level ``refinements`` times.
+    At each level the own shipments are optimised exactly: each market term
+    of the utility is a quadratic in its own shipment, read off the model's
+    batched value function (see _market_maxima) and maximised over
+    [0, q_upper] in closed form.  A pass reads grid_density * (1 + 3n)
+    values.  The gain is measured against the same batched function at the
+    point.  Purely diagnostic; a positive improvement means the retailer
+    could deviate profitably, and a NaN that its values are not finite or
+    not quadratic, so the point is not certified.  Densities whose lattice
+    density**(n+1) exceeds _MAX_GRID_POINTS are refused with ValueError.
     """
     if grid_density < 2:
         raise ValueError("grid_density must be at least 2")
@@ -366,35 +409,30 @@ def verify_equilibrium(model: ModelSpec, point: DecisionVector, grid_density=50,
     u_caps = level_caps(model)
 
     for x_idx in range(m):
-        base = model.expected_utility(x_idx, point.Q, point.u)
         u_cap_x = float(u_caps[x_idx])
         u_lo, u_hi = 0.0, u_cap_x
-        q_lo = np.zeros(n)
-        q_hi = np.full(n, model.q_upper)
         best_val, best_u, best_q = -math.inf, 0.0, np.zeros(n)
+        # Overflow and 0 * inf are reported as a NaN improvement instead.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            base = float(model.expected_utility_batch(x_idx, point.Q, point.u))
+            for _ in range(refinements + 1):
+                u_axis = _grid_axes(u_lo, u_hi, grid_density)
+                fit = _market_maxima(_own_move_readings(model, x_idx, point, u_axis))
+                if fit is None:
+                    best_val = math.nan
+                    break
+                totals, t = fit
+                i = int(np.argmax(totals))
+                if totals[i] > best_val:
+                    best_val = float(totals[i])
+                    best_u = float(u_axis[i])
+                    best_q = model.q_upper * t[:, i]
+                # Zoom in one cell around the best level.
+                du = (u_hi - u_lo) / (grid_density - 1)
+                u_lo = max(0.0, best_u - du)
+                u_hi = min(u_cap_x, best_u + du)
 
-        for _ in range(refinements + 1):
-            u_axis = _grid_axes(u_lo, u_hi, grid_density)
-            q_axes = np.array([_grid_axes(q_lo[y], q_hi[y], grid_density)
-                               for y in range(n)])
-            g, f = _own_move_values(model, x_idx, point, u_axis, q_axes)
-            j = np.argmax(f, axis=2)
-            totals = g + np.take_along_axis(f, j[..., None], axis=2)[..., 0].sum(axis=0)
-            i = int(np.argmax(totals))
-            if totals[i] > best_val:
-                best_val = float(totals[i])
-                best_u = float(u_axis[i])
-                best_q = q_axes[np.arange(n), j[:, i]]
-            # Zoom in one cell around the best coordinates.
-            du = (u_hi - u_lo) / (grid_density - 1)
-            u_lo = max(0.0, best_u - du)
-            u_hi = min(u_cap_x, best_u + du)
-            for y in range(n):
-                dq = (q_hi[y] - q_lo[y]) / (grid_density - 1)
-                q_lo[y] = max(0.0, best_q[y] - dq)
-                q_hi[y] = min(model.q_upper, best_q[y] + dq)
-
-        improvements[x_idx] = best_val - base
+        improvements[x_idx] = best_val - base if math.isfinite(base) else math.nan
         best_points.append((best_q, best_u))
 
     certified = bool(np.all(improvements <= eps_br))

@@ -44,6 +44,7 @@ __all__ = [
     "fd_check",
     "fd_check_random",
     "FdCheckReport",
+    "FdDomainError",
 ]
 
 # Hard cap on u strictly below 1 so -ln(1-u) stays finite; budgets above
@@ -322,6 +323,18 @@ class FdCheckReport:
 _FD_BATCH_VALUES = 1 << 18
 
 
+class FdDomainError(ValueError):
+    """The model's box is too narrow for central differences at the step.
+
+    ``field`` names the model field that narrows it, as a path below the
+    model: ``q_upper`` or ``retailers[<i>].B``.
+    """
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
+
+
 def _check_step(step):
     if not 1e-7 <= step <= 1e-4:
         raise ValueError("step must lie in [1e-7, 1e-4]")
@@ -397,16 +410,28 @@ def fd_check_random(problem: ViProblem, points=100, step=1e-5, seed=0):
     Samples stay away from the u singularity (u <= 0.9), the budget bound and
     the box faces so the finite-difference truncation error itself stays
     well below the tolerances being checked.  Samples are differenced in
-    batches; the first sample with the largest error is reported.
+    batches; the first sample with the largest error is reported.  A box
+    with no sample at least 2 * step inside its faces raises FdDomainError.
     """
     if points < 1:
         raise ValueError("points must be positive")
     _check_step(step)
     rng = np.random.default_rng(seed)
     m, n, mn = problem._m, problem._n, problem._mn
+    margin = 2.0 * step
     q_hi = problem.model.q_upper
-    u_hi = np.minimum(0.9, problem.upper[mn:] - 2.0 * step)
-    u_lo = np.minimum(0.02, 0.5 * u_hi)
+    if 0.01 * q_hi < margin:
+        raise FdDomainError("q_upper", f"q_upper {q_hi!r} leaves no interior shipment "
+                                       f"for central differences at step {step!r}")
+    caps = problem.upper[mn:]
+    u_hi = np.minimum(0.9, caps - margin)
+    u_lo = np.maximum(margin, np.minimum(0.02, 0.5 * u_hi))
+    short = np.flatnonzero(u_hi < u_lo)
+    if short.size:
+        x = int(short[0])
+        raise FdDomainError(f"retailers[{x}].B",
+                            f"the budget cap {float(caps[x])!r} of retailer {x + 1} leaves no "
+                            f"interior level for central differences at step {step!r}")
     # Per-column sampling range: Q in [0.01, 0.99] * q_upper, u in [u_lo, u_hi].
     lo = np.concatenate([np.full(mn, 0.01 * q_hi), u_lo])
     width = np.concatenate([np.full(mn, 0.99 * q_hi - 0.01 * q_hi), u_hi - u_lo])

@@ -77,14 +77,40 @@ class TestSolveCommand:
         assert run(["solve", str(path), "--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
-    @pytest.mark.parametrize("Q", [[[-1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 101.0]], 5.0])
-    def test_bad_initial_point_names_initial(self, tmp_path, capsys, Q):
+    @pytest.mark.parametrize("Q, where", [
+        pytest.param([[-1.0, 1.0], [1.0, 1.0]], "initial: ", id="Q0"),
+        pytest.param([[1.0, 1.0], [1.0, 101.0]], "initial: ", id="Q1"),
+        pytest.param(5.0, "initial.Q: expected an array", id="5.0"),
+    ])
+    def test_bad_initial_point_names_initial(self, tmp_path, capsys, Q, where):
         data = scenario_to_data(experiment1())
         data["initial"]["Q"] = Q
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert run(["solve", str(path)]) == EXIT_VALIDATION
-        assert "error: bad.json.initial: " in capsys.readouterr().err
+        assert f"error: bad.json.{where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, where", [
+        ("u", [10**400, 0.5], "initial.u[0]: expected a finite number"),
+        ("Q", [[1.0, 10**400], [1.0, 1.0]], "initial.Q[0][1]: expected a finite number"),
+        ("u", [True, 0.5], "initial.u[0]: expected a number"),
+        ("Q", [[1.0, 1.0], [False, 1.0]], "initial.Q[1][0]: expected a number"),
+        ("u", ["0.5", 0.5], "initial.u[0]: expected a number"),
+        ("Q", [["0.5", 1.0], [1.0, 1.0]], "initial.Q[0][0]: expected a number"),
+        ("Q", [[1.0, 1.0], [1.0]], "initial.Q: expected rows of equal length"),
+        ("Q", [[[1.0], [1.0]], [[1.0], [1.0]]], "initial.Q[0][0]: expected a number"),
+        ("u", [[0.5], [0.5]], "initial.u[0]: expected a number"),
+    ], ids=["huge-u", "huge-Q", "bool-u", "bool-Q", "string-u", "string-Q", "ragged-Q",
+            "nested-Q", "nested-u"])
+    def test_initial_entry_is_read_as_a_number(self, tmp_path, capsys, key, value, where):
+        # Each entry is read like every other number of the file: no
+        # OverflowError traceback, and no bool or numeric string coerced.
+        data = scenario_to_data(experiment1())
+        data["initial"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert run(["solve", str(path)]) == EXIT_VALIDATION
+        assert f"error: bad.json.{where}" in capsys.readouterr().err
 
     def test_initial_level_above_the_budget_cap_names_initial_u(self, tmp_path, capsys):
         # B1 = 5.28 caps u_1 at 1 - exp(-5.28) ~ 0.99491.
@@ -167,7 +193,11 @@ class TestSolveCommand:
     @pytest.mark.parametrize("section, key, value, where", [
         ("retailer", "B", float("nan"), "model.retailers[0].B: expected a finite number"),
         ("market", "kappa", float("inf"), "model.markets[0].kappa: expected a finite"),
-        ("initial", "u", [float("-inf"), 0.0], "initial: expected finite numbers"),
+        # The id is the one this row had when the message named only
+        # "initial"; each entry is now read with its own path.
+        pytest.param("initial", "u", [float("-inf"), 0.0],
+                     "initial.u[0]: expected a finite number",
+                     id="initial-u-value2-initial: expected finite numbers"),
     ])
     def test_non_finite_number_names_the_path(self, tmp_path, capsys, section, key,
                                               value, where):
@@ -190,6 +220,18 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "model.retailers[0].costs[0]" in err
         assert "quadratic coefficient a must be nonnegative" in err
+
+    def test_overflowing_ratio_maps_to_nonconvergence(self, tmp_path, capsys):
+        # gamma = 1e300 overflows |F(X) - F(Xt)| in the prediction step; the
+        # retry would shrink beta to 0.
+        data = scenario_to_data(experiment1())
+        data["model"]["markets"][0]["gamma"] = 1e300
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run(["solve", str(path)]) == EXIT_NO_CONVERGENCE
+        assert "error: shrinkage ratio is not finite" in capsys.readouterr().err
 
     def test_numeric_error_maps_to_nonconvergence(self, tmp_path, capsys):
         # Finite but huge intercepts overflow the operator sum to -inf.
@@ -394,7 +436,7 @@ class TestVerifyCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("lattice built past the point budget")
 
-        monkeypatch.setattr(solver, "_own_move_values", forbidden)
+        monkeypatch.setattr(solver, "_own_move_readings", forbidden)
         assert run(["verify", "exp1", "--grid", "1000"]) == EXIT_VALIDATION
         assert "lattice points" in capsys.readouterr().err
 
@@ -442,6 +484,38 @@ class TestGradcheckCommand:
     def test_out_of_range_step_names_the_option(self, capsys):
         assert run(["gradcheck", "exp1", "--step", "1"]) == EXIT_VALIDATION
         assert "error: --step: step must lie in [1e-7, 1e-4]" in capsys.readouterr().err
+
+    def test_tiny_budget_names_the_budget_not_the_step(self, tmp_path, capsys):
+        # B1 = 1e-6 caps u_1 at ~1e-6, below the 4 * step that central
+        # differences at the default step 1e-5 need; the file still solves.
+        data = scenario_to_data(experiment1())
+        data["model"]["retailers"][0]["B"] = 1e-6
+        data["initial"]["u"] = [0.0, 0.5]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(data))
+        assert run(["solve", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["gradcheck", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "error: tiny.json.model.retailers[0].B: " in err
+        assert "--step" not in err
+
+    def test_non_finite_values_never_pass(self, tmp_path, capsys):
+        # At q_upper = 1e300 the utilities overflow: the finite-difference
+        # error is NaN and the audit cannot read a finite value.
+        data = scenario_to_data(experiment1())
+        data["model"]["q_upper"] = 1e300
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run(["gradcheck", str(path)]) == EXIT_VERIFICATION
+            out = capsys.readouterr().out
+            assert "max relative error nan" in out and "PASS" not in out
+            assert run(["verify", str(path)]) == EXIT_VERIFICATION
+        out = capsys.readouterr().out
+        assert "best unilateral improvement nan" in out
+        assert "equilibrium certified" not in out
 
 
 class TestSchemaHelpers:

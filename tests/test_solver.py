@@ -561,12 +561,64 @@ class TestVerifyEquilibrium:
             perturbed.append(problem.split(x))
         for candidate in [point] + perturbed:
             audit = verify_equilibrium(model, candidate, grid_density=50)
-            oracle_gains, oracle_points = full_lattice_audit(model, candidate, 50)
-            assert np.max(np.abs(audit.improvements - oracle_gains)) <= 1e-10
-            for (q, u), (q_ref, u_ref) in zip(audit.best_points, oracle_points):
-                assert u == u_ref
-                assert np.array_equal(q, q_ref)
+            oracle_gains, _ = full_lattice_audit(model, candidate, 50)
+            # The audit maximises the shipments the lattice only samples, so
+            # it finds at least the lattice's gain, less rounding.
+            assert np.all(audit.improvements >= oracle_gains - 1e-10)
+            assert audit.certified == bool(np.all(oracle_gains <= audit.eps_br))
         assert not verify_equilibrium(model, perturbed[0], grid_density=50).certified
+
+    def test_finds_the_gain_of_a_nonconcave_own_problem(self):
+        # Market 1's gamma = -100 makes both own problems nonconcave in
+        # (Q row, u); the solve stops at u = (0, 0), where retailer 1 gains
+        # 0.155 by deviating.  The density-50 lattice finds only 0.016.
+        model = experiment1().model
+        markets = (replace(model.markets[0], gamma=-100.0),) + model.markets[1:]
+        model = replace(model, markets=markets)
+        problem, report = solve_scenario(Scenario("gamma", model))
+        assert report.converged
+        audit = verify_equilibrium(model, problem.split(report.solution))
+        assert audit.improvements[0] >= 0.15
+        assert not audit.certified
+
+    def test_value_function_that_is_not_quadratic_is_not_certified(self, monkeypatch):
+        scen = experiment1()
+        problem, report = solve_scenario(scen)
+        point = problem.split(report.solution)
+        real = ModelSpec.expected_utility_batch
+
+        def cubic(self, x, Q, u):
+            # A cubic term worth 1 at q_upper, against utilities of ~5 000.
+            Q = np.asarray(Q, dtype=float)
+            return real(self, x, Q, u) + 1e-6 * Q[..., x, 0] ** 3
+
+        monkeypatch.setattr(ModelSpec, "expected_utility_batch", cubic)
+        audit = verify_equilibrium(scen.model, point)
+        assert np.all(np.isnan(audit.improvements))
+        assert math.isnan(audit.max_improvement)
+        assert not audit.certified
+
+    @pytest.mark.parametrize("build", [
+        lambda: experiment1().model,
+        lambda: three_market_model((0.5, 0.3, 0.2)),
+    ], ids=["n2", "n3"])
+    def test_reads_density_times_one_plus_3n_values_per_pass(self, monkeypatch, build):
+        model = build()
+        problem, report = solve_equilibrium(model)
+        point = problem.split(report.solution)
+        real = ModelSpec.expected_utility_batch
+        sizes = []
+
+        def counting(self, x, Q, u):
+            values = real(self, x, Q, u)
+            sizes.append(np.size(values))
+            return values
+
+        monkeypatch.setattr(ModelSpec, "expected_utility_batch", counting)
+        verify_equilibrium(model, point, grid_density=50, refinements=2)
+        # Per retailer: the base value, then three passes of 50 levels at
+        # 1 + 3n own shipment patterns.
+        assert sizes == ([1] + [50 * (1 + 3 * model.n)] * 3) * model.m
 
     def test_three_market_audit_certifies(self):
         model = three_market_model((0.5, 0.3, 0.2))
@@ -600,7 +652,7 @@ class TestVerifyEquilibrium:
             raise AssertionError("lattice arrays built before the point budget check")
 
         monkeypatch.setattr(solver, "_grid_axes", forbidden)
-        monkeypatch.setattr(solver, "_own_move_values", forbidden)
+        monkeypatch.setattr(solver, "_own_move_readings", forbidden)
         with pytest.raises(ValueError, match="lattice points"):
             verify_equilibrium(model, point, grid_density=50)
 

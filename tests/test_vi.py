@@ -439,6 +439,28 @@ class TestFdCheck:
         report = fd_check_random(problem, points=20, seed=0)
         assert report.max_rel_error < 1e-6
 
+    @pytest.mark.parametrize("narrow, field", [
+        (lambda m: replace(m, retailers=(m.retailers[0], replace(m.retailers[1], B=3e-5))),
+         "retailers[1].B"),
+        (lambda m: replace(m, q_upper=1e-3), "q_upper"),
+    ], ids=["budget-cap", "q-upper"])
+    def test_box_too_narrow_names_the_field(self, narrow, field):
+        # At step 1e-5 a level needs a cap of 4e-5 and a shipment a
+        # q_upper of 2e-3 for a sample 2 * step inside the box.
+        model = narrow(experiment1().model)
+        with pytest.raises(vi.FdDomainError) as info:
+            fd_check_random(ViProblem(model), points=5, step=1e-5)
+        assert info.value.field == field
+
+    def test_budget_cap_just_wide_enough_samples_inside_the_box(self):
+        # A cap of 5 * step leaves levels in [2 * step, 3 * step]; the
+        # sampling floor min(0.02, u_hi / 2) alone would fall below 2 * step.
+        model = experiment1().model
+        poor = replace(model.retailers[0], B=-np.log1p(-5e-5))
+        problem = ViProblem(replace(model, retailers=(poor, model.retailers[1])))
+        report = fd_check_random(problem, points=50, step=1e-5, seed=0)
+        assert report.max_rel_error < 1e-5
+
     def test_literal_variant_fails_on_loss_term(self, exp1_problem):
         literal = ViProblem(replace(experiment1().model,
                                     loss_gradient_includes_multiplier=False))
