@@ -8,8 +8,8 @@ from .model import (MarketParams, ModelSpec, RetailerParams, TransactionCostPara
 from .scenarios import (REFERENCE_TARGETS, Scenario, SweepResult, SweepSpec,
                         builtin_sweep, experiment1, experiment5, experiment_model,
                         find_crossing, run_sweep, scenario_by_name, solve_scenario)
-from .solver import (SolverConfig, SolverReport, best_response_solve, solve,
-                     verify_equilibrium)
+from .solver import (SolverConfig, SolverReport, StackReport, best_response_solve,
+                     solve, verify_equilibrium)
 from .vi import (U_CAP, BoxVi, DecisionVector, InvestmentVi, ViProblem, fd_check,
                  fd_check_random)
 
@@ -22,7 +22,7 @@ __all__ = [
     "REFERENCE_TARGETS", "Scenario", "SweepResult", "SweepSpec", "builtin_sweep",
     "experiment1", "experiment5", "experiment_model", "find_crossing", "run_sweep",
     "scenario_by_name", "solve_scenario",
-    "SolverConfig", "SolverReport", "best_response_solve", "solve",
+    "SolverConfig", "SolverReport", "StackReport", "best_response_solve", "solve",
     "verify_equilibrium",
     "U_CAP", "BoxVi", "DecisionVector", "InvestmentVi", "ViProblem", "fd_check",
     "fd_check_random",

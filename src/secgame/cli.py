@@ -24,6 +24,8 @@ import sys
 import typing
 from dataclasses import MISSING, replace
 
+import numpy as np
+
 from .model import ModelSpec
 from .scenarios import (BUILTIN_SCENARIOS, CROSSING_BANDS, REFERENCE_TARGETS, Scenario,
                         SweepSpec, builtin_sweep, crossing_reconciliation, find_crossing,
@@ -352,7 +354,9 @@ def cmd_gradcheck(args):
         model = replace(model, loss_gradient_includes_multiplier=False)
     problem = ViProblem(model)
     try:
-        report = fd_check_random(problem, points=args.points, step=args.step)
+        # Overflow shows as a non-finite error, which fails below.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            report = fd_check_random(problem, points=args.points, step=args.step)
     except FdDomainError as exc:
         raise SchemaError(f"{scenario.name}.model.{exc.field}", str(exc)) from exc
     except ValueError as exc:  # --points is checked above; the step is left

@@ -48,7 +48,7 @@ def affine_vi_10d():
     g[:2] = 2.0
     g[-2:] = -2.0
     b = g - A @ x_star
-    problem = BoxVi(lambda x: A @ x + b, np.zeros(dim), np.full(dim, 10.0))
+    problem = BoxVi(lambda x: x @ A.T + b, np.zeros(dim), np.full(dim, 10.0))
     return problem, x_star, A, b
 
 

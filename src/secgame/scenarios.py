@@ -4,10 +4,11 @@ The bundled two- and three-retailer scenarios use a common parameter family
 in which a retailer with market share t gets handling cost 10(1+t), budget
 3(1+t), attack loss 100(1+t), attack multiplier 1+t and transaction cost
 scale 1+t, over two markets with inverse demands -2d + 0.2*mean_u + 120 and
--d + 0.4*mean_u + 250.  Sweeps re-solve a scenario along a parameter grid
-and report per-row equilibria.  A row's ``columns()`` is the one layout of a
-solution record: the sweep series, the CSV files and crossing detection
-(where two named series meet) all read it.  solve_scenario passes solve's
+-d + 0.4*mean_u + 250.  Sweeps solve a scenario at every value of a
+parameter grid, all rows as one stacked cold solve, and report per-row
+equilibria.  A row's ``columns()`` is the one layout of a solution record:
+the sweep series, the CSV files and crossing detection (where two named
+series meet) all read it.  solve_scenario passes solve's
 per-iteration callback through.  Reference values recorded alongside the
 scenarios are reproduced where possible and reported as unreconciled
 otherwise.
@@ -275,33 +276,40 @@ class SweepResult:
     spec: SweepSpec
     rows: list = field(default_factory=list)
 
-    def series(self, name):
-        """One column over the rows: "param" or a key of SweepRow.columns();
-        any other name raises KeyError."""
-        if name == "param":
-            return np.array([r.value for r in self.rows])
+    def columns(self, *names):
+        """The named columns over the rows, name -> array, reading each row's
+        columns() once: "param" or a key of SweepRow.columns(); any other
+        name raises KeyError."""
+        table = [dict(r.columns(), param=r.value) for r in self.rows]
         try:
-            return np.array([r.columns()[name] for r in self.rows])
-        except KeyError:
-            raise KeyError(f"unknown series {name!r}") from None
+            return {name: np.array([cols[name] for cols in table]) for name in names}
+        except KeyError as exc:
+            raise KeyError(f"unknown series {exc.args[0]!r}") from None
+
+    def series(self, name):
+        """One column over the rows; see columns."""
+        return self.columns(name)[name]
 
 
-def _solve_game(problem, config, x0, callback=None):
-    """Solve ``problem`` from the flat (Q, u) point ``x0`` in Jacobi-scaled
-    (z, w) coordinates; the report's solution is mapped back to flat (Q, u)
-    and its residual is the (Q, u) natural residual.  ``callback`` is
-    solve's per-iteration hook and sees the (z, w) iterates."""
-    view = InvestmentVi(problem)
-    report = solve(view, config, x0=view.from_u(x0), callback=callback)
-    report.solution = view.to_u(report.solution)
-    return report
+def _solve_games(problems, config, x0, callback=None):
+    """Solve each problem from its row of the (k, dim) stack ``x0`` of (Q, u)
+    points as one stacked solve in Jacobi-scaled (z, w) coordinates.
+    Returns one report per problem, its solution mapped back to (Q, u) and
+    its residual the (Q, u) natural residual.  ``callback`` is solve's
+    per-iteration hook and sees the (z, w) iterates."""
+    view = InvestmentVi(*problems)
+    stack = solve(view, config, x0=view.from_u(x0), callback=callback)
+    solutions = view.to_u(np.array([r.solution for r in stack.reports]))
+    for report, x in zip(stack.reports, solutions):
+        report.solution = x
+    return stack.reports
 
 
 def solve_scenario(scenario: Scenario, callback=None):
     """Assemble and solve one scenario; returns (problem, report).
     ``callback`` is passed to solve as its per-iteration hook."""
     problem = ViProblem(scenario.model)
-    report = _solve_game(problem, scenario.config, scenario.x0.flat(), callback)
+    report, = _solve_games([problem], scenario.config, scenario.x0.flat()[None], callback)
     return problem, report
 
 
@@ -317,22 +325,19 @@ def solution_row(problem, report, value=math.nan):
 def run_sweep(spec: SweepSpec):
     """Solve the scenario at every grid value of the swept parameter.
 
-    Rows are produced for every grid point even when a solve fails to
-    converge (the row is flagged).  Each row starts from the solution of
-    the last converged row before it, or from the scenario's own initial
-    point when there is none.  Row order follows the grid.
+    Every row is a cold solve from its scenario's own initial point; all
+    rows run as one stacked solve, and each row is bit for bit the
+    solve_scenario of its scenario, iteration count included.  Rows are
+    produced for every grid point even when a solve fails to converge (the
+    row is flagged).  Row order follows the grid.
     """
-    rows = []
-    prev = None
-    for value in spec.grid():
-        scen = apply_parameter(spec.scenario, spec.param, float(value))
-        problem = ViProblem(scen.model)
-        # solve projects the start into this row's box.
-        report = _solve_game(problem, scen.config, scen.x0.flat() if prev is None else prev)
-        rows.append(solution_row(problem, report, value))
-        if report.converged:
-            prev = report.solution
-    return SweepResult(spec, rows)
+    grid = spec.grid()
+    scens = [apply_parameter(spec.scenario, spec.param, float(value)) for value in grid]
+    problems = [ViProblem(scen.model) for scen in scens]
+    reports = _solve_games(problems, spec.scenario.config,
+                           np.array([scen.x0.flat() for scen in scens]))
+    return SweepResult(spec, [solution_row(problem, report, value)
+                              for problem, report, value in zip(problems, reports, grid)])
 
 
 def find_crossing(result: SweepResult, series_a, series_b):
@@ -342,9 +347,10 @@ def find_crossing(result: SweepResult, series_a, series_b):
     value of the first sign change of (a - b), or None when the difference
     never strictly changes sign (constant or one-sided series give None).
     """
-    mask = result.series("converged")
-    p = result.series("param")[mask]
-    d = (result.series(series_a) - result.series(series_b))[mask]
+    cols = result.columns("converged", "param", series_a, series_b)
+    mask = cols["converged"]
+    p = cols["param"][mask]
+    d = (cols[series_a] - cols[series_b])[mask]
     keep = d != 0.0
     p, d = p[keep], d[keep]
     for i in range(len(d) - 1):

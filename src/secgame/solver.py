@@ -5,9 +5,11 @@ measures the shrinkage ratio r = beta * |F(X) - F(Xt)| / |X - Xt|, retries
 with a smaller beta while r exceeds its upper limit, then corrects along the
 direction d = (X - Xt) - beta * (F(X) - F(Xt)) with relaxation rho.  When r
 falls below its lower limit the step size is enlarged for the next
-iteration.  Termination is on the sup-norm natural residual.  A solve has
-one observation hook: an optional callback that sees every accepted
-iteration's iterate, residual, step size and ratio.
+iteration.  Termination is on the sup-norm natural residual.  One loop
+solves a (k, dim) stack of rows, each with its own step size, retries and
+stopping test; a flat start is a stack of one.  A solve has one observation
+hook: an optional callback that sees every accepted iteration's iterate,
+residual, step size and ratio.
 
 Also provides a Gauss-Seidel best-response iteration and an equilibrium
 audit, exact in the shipments and a grid search in the level, both used as
@@ -31,6 +33,7 @@ from .vi import DecisionVector, ViProblem, level_caps
 __all__ = [
     "SolverConfig",
     "SolverReport",
+    "StackReport",
     "SolverNumericError",
     "DegenerateDirectionError",
     "predict",
@@ -101,102 +104,178 @@ class SolverReport:
     beta_retries: int = 0
 
 
+@dataclass
+class StackReport:
+    """Outcome of a stacked solve: ``reports[i]`` is row i's SolverReport.
+    ``passes`` counts the iterations of the stack, the largest row count;
+    ``iterations`` and ``beta_retries`` are the totals over the rows."""
+
+    reports: list
+    passes: int
+
+    @property
+    def iterations(self):
+        return sum(r.iterations for r in self.reports)
+
+    @property
+    def beta_retries(self):
+        return sum(r.beta_retries for r in self.reports)
+
+
+def _check_finite(f, iteration):
+    # A sum that overflows counts as non-finite too.
+    if not all(map(math.isfinite, np.add.reduce(f, axis=1).tolist())):
+        raise SolverNumericError("operator returned non-finite values", iteration)
+
+
 def predict(problem, x, beta, fx=None):
     """Projection step: Xt = P_K[X - beta * F(X)] plus the shrinkage ratio.
 
-    Returns (x_tilde, f_tilde, r).  When the trial point coincides with X the
-    ratio is 0 and f_tilde is fx (X already solves the VI).  Norms are
-    Euclidean.
+    ``x`` is a flat point and ``beta`` its step size, or ``x`` is a (k, dim)
+    stack and ``beta`` a list of one step size per row.  Returns
+    (x_tilde, f_tilde, r), r being the ratio or the list of row ratios.
+    Where the trial point coincides with X the ratio is 0 (X already solves
+    the VI).  Norms are Euclidean.
     """
-    if beta <= 0.0:
+    flat = x.ndim == 1
+    if flat:
+        x, beta = x[None], [beta]
+        fx = None if fx is None else fx[None]
+    if min(beta) <= 0.0:
         raise ValueError("beta must be positive")
     if fx is None:
         fx = problem.operator(x)
-    x_tilde = problem.project(x - beta * fx)
+    x_tilde = problem.project(x - np.array(beta)[:, None] * fx)
     dx = x - x_tilde
-    norm_dx = math.sqrt(float(dx @ dx))
-    if norm_dx == 0.0:
-        return x_tilde, fx, 0.0
     f_tilde = problem.operator(x_tilde)
     df = fx - f_tilde
-    r = beta * math.sqrt(float(df @ df)) / norm_dx
+    # One dot product per row keeps each row's bits apart from the others.
+    r = [b * math.sqrt(f) / math.sqrt(d) if d else 0.0
+         for b, f, d in zip(beta, np.vecdot(df, df).tolist(), np.vecdot(dx, dx).tolist())]
+    if flat:
+        return x_tilde[0], f_tilde[0], r[0]
     return x_tilde, f_tilde, r
 
 
 def correct(x, x_tilde, beta, fx, f_tilde, rho):
     """Relaxed correction X+ = X - rho * delta * d along the favorable direction.
 
-    d = (X - Xt) - beta * (F(X) - F(Xt)),  delta = (X - Xt).d / |d|^2.
+    d = (X - Xt) - beta * (F(X) - F(Xt)),  delta = (X - Xt).d / |d|^2, for a
+    flat point or for each row of a stack (``beta`` then a list of steps).
     """
+    flat = x.ndim == 1
+    if flat:
+        x, x_tilde, fx, f_tilde, beta = x[None], x_tilde[None], fx[None], f_tilde[None], [beta]
     dx = x - x_tilde
-    d = dx - beta * (fx - f_tilde)
-    dd = float(d @ d)
-    if dd == 0.0:
+    d = dx - np.array(beta)[:, None] * (fx - f_tilde)
+    dd = np.vecdot(d, d).tolist()
+    if 0.0 in dd:
         raise DegenerateDirectionError(
             "correction direction vanished; prediction and operator steps cancel")
-    delta = float(dx @ d) / dd
-    return x - rho * delta * d
+    step = np.array([rho * (p / q) for p, q in zip(np.vecdot(dx, d).tolist(), dd)])
+    out = x - step[:, None] * d
+    return out[0] if flat else out
 
 
 def solve(problem, config=None, x0=None, callback=None):
     """Run the projection-contraction iteration until the residual meets tol.
 
-    Deterministic: identical inputs produce identical iterate sequences.
-    Non-convergence within max_iter is reported (converged=False), not
-    raised; non-finite operator values, and a shrinkage ratio that overflows
-    on a retry, raise SolverNumericError.
+    ``x0`` (default ``problem.default_start()``) is a flat point, which
+    gives a SolverReport, or a (k, dim) stack of k rows, which gives a
+    StackReport: every row runs its own iteration, step size and stopping
+    test, one numpy pass per iteration for all of them, and leaves the
+    stack when it stops.  Where the problem evaluates each row on its own,
+    as ViProblem and InvestmentVi do, a row's report is bit for bit that of
+    its solve alone.  Deterministic: identical inputs produce identical iterate
+    sequences.  Non-convergence within max_iter is reported
+    (converged=False), not raised; non-finite operator values, a shrinkage
+    ratio that overflows on a retry and a vanished correction direction
+    raise (SolverNumericError, DegenerateDirectionError) for the whole
+    stack.  Floating-point warnings are silenced; these checks report the
+    values that would have warned.
     ``callback(k, x, residual, beta, r)`` is invoked after every accepted
-    iteration k with the corrected iterate x, the residual measured at the
-    start of the iteration, and the step size beta and ratio r of the
-    accepted prediction, before beta grows; x, beta and r belong to the
-    coordinates the problem is solved in.
+    iteration k of each row with the row's corrected iterate x, the residual
+    measured at the start of the iteration, and the step size beta and ratio
+    r of the accepted prediction, before beta grows; x, beta and r belong to
+    the coordinates the problem is solved in.
     """
     if config is None:
         config = SolverConfig()
     x = problem.project(np.asarray(x0, dtype=float)) if x0 is not None else problem.default_start()
-    beta = BETA0
-    retries = 0
-    residual = math.inf
-    iterations = 0
+    flat = x.ndim == 1
+    X = x[None] if flat else x
+    tol, max_iter = config.tol, config.max_iter
+    reports = [None] * len(X)
+    retries = [0] * len(X)
+    # The active rows: their stack indices, step sizes and residuals.
+    rows = list(range(len(X)))
+    beta = [BETA0] * len(X)
+    view = problem
 
-    for iterations in range(config.max_iter + 1):
-        try:
-            fx = problem.operator(x)
-        except ValueError as exc:
-            raise SolverNumericError(str(exc), iterations) from exc
-        if not math.isfinite(np.add.reduce(fx)):
-            raise SolverNumericError("operator returned non-finite values", iterations)
-        residual = problem.natural_residual(x, fx)
-        if residual <= config.tol:
-            return SolverReport(x, iterations, residual, True, retries)
-        if iterations == config.max_iter:
-            break
+    def drop(stopped):
+        """Report the rows ``stopped`` and take them out of the stack;
+        returns the positions of the rows left."""
+        nonlocal X, FX, rows, beta, res, view
+        for i in stopped:
+            reports[rows[i]] = SolverReport(X[i], iteration, res[i], res[i] <= tol,
+                                            retries[rows[i]])
+        go = [i for i in range(len(rows)) if i not in stopped]
+        X, FX = X[go], FX[go]
+        rows, beta, res = ([v[i] for i in go] for v in (rows, beta, res))
+        view = problem.rows(rows)
+        return go
 
-        while True:
-            x_tilde, f_tilde, r = predict(problem, x, beta, fx)
-            if not math.isfinite(np.add.reduce(f_tilde)):
-                raise SolverNumericError("operator returned non-finite values", iterations)
-            if r == 0.0 and np.array_equal(x_tilde, x):
-                # Stalled: the projected step no longer moves the iterate.
-                return SolverReport(x, iterations, residual, residual <= config.tol, retries)
-            if r <= NU:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for iteration in range(max_iter + 1):
+            try:
+                FX, res = view.evaluate(X)
+            except ValueError as exc:
+                raise SolverNumericError(str(exc), iteration) from exc
+            _check_finite(FX, iteration)
+            res = res.tolist()
+            if iteration == max_iter:
+                drop(range(len(rows)))
                 break
-            if not math.isfinite(r):
-                # |F(X) - F(Xt)| overflowed, so the shrunken step would be 0.
-                raise SolverNumericError("shrinkage ratio is not finite", iterations)
-            beta *= (2.0 / 3.0) * min(1.0, 1.0 / r)
-            retries += 1
+            if min(res) <= tol and not drop([i for i, r in enumerate(res) if r <= tol]):
+                break
 
-        # Re-project the corrected point: the raw correction step can leave
-        # the box, where the level cost -ln(1-u) is undefined.  Projection is
-        # nonexpansive toward any feasible point, so contraction is kept.
-        x = problem.project(correct(x, x_tilde, beta, fx, f_tilde, RHO))
-        if callback is not None:
-            callback(iterations, x, residual, beta, r)
-        if r <= MU:
-            beta *= 1.5
+            XT, FT, R = predict(view, X, beta, FX)
+            _check_finite(FT, iteration)
+            redo = [i for i, r in enumerate(R) if not r <= NU]
+            while redo:
+                # Only these rows shrink their step and predict again.
+                for i in redo:
+                    if not math.isfinite(R[i]):
+                        # |F(X) - F(Xt)| overflowed, so the shrunken step would be 0.
+                        raise SolverNumericError("shrinkage ratio is not finite", iteration)
+                    beta[i] *= (2.0 / 3.0) * min(1.0, 1.0 / R[i])
+                    retries[rows[i]] += 1
+                xt, ft, r = predict(problem.rows([rows[i] for i in redo]), X[redo],
+                                    [beta[i] for i in redo], FX[redo])
+                _check_finite(ft, iteration)
+                XT[redo], FT[redo] = xt, ft
+                for i, ri in zip(redo, r):
+                    R[i] = ri
+                redo = [i for i in redo if not R[i] <= NU]
 
-    return SolverReport(x, iterations, residual, False, retries)
+            # Stalled rows: the projected step no longer moves the iterate.
+            if 0.0 in R:
+                go = drop([i for i, r in enumerate(R)
+                           if r == 0.0 and np.array_equal(XT[i], X[i])])
+                if not go:
+                    break
+                XT, FT, R = XT[go], FT[go], [R[i] for i in go]
+
+            # Re-project the corrected point: the raw correction step can leave
+            # the box, where the level cost -ln(1-u) is undefined.  Projection is
+            # nonexpansive toward any feasible point, so contraction is kept.
+            X = view.project(correct(X, XT, beta, FX, FT, RHO))
+            if callback is not None:
+                for i in range(len(rows)):
+                    callback(iteration, X[i], res[i], beta[i], R[i])
+            beta = [b * 1.5 if r <= MU else b for b, r in zip(beta, R)]
+
+    return reports[0] if flat else StackReport(reports, iteration)
 
 
 def _block_best_response(problem: ViProblem, x, x_idx):

@@ -7,6 +7,10 @@ where X stacks (Q row-major, then u) and F stacks
 * F1[x, y]  -- marginal cost minus marginal revenue of shipping Q[x, y],
 * F2[x]     -- marginal investment cost minus marginal security benefit.
 
+F1 and the marginal benefit g are affine in X, [F1, g] = X @ L + c, and
+F2 = 1/(1 - u) - g; ViProblem builds L and c once, and both layouts below
+evaluate that one map.
+
 The budget -ln(1 - u_x) <= B_x is the plain bound u_x <= 1 - exp(-B_x), so
 it is part of the box rather than a dualized constraint.  Its multiplier
 follows from the KKT conditions of the solution, lambda_x =
@@ -28,6 +32,7 @@ takes far fewer steps in (z, w).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +88,12 @@ class DecisionVector:
 
 
 class BoxVi:
-    """A variational inequality F over a box: lower <= X <= upper."""
+    """A variational inequality F over a box: lower <= X <= upper.
+
+    The operator and every method take a flat point of length dim or a
+    (k, dim) stack of points, one per row; the residual of a stack is one
+    value per row.
+    """
 
     def __init__(self, operator, lower, upper):
         self.lower = np.asarray(lower, dtype=float)
@@ -101,10 +111,14 @@ class BoxVi:
     def operator(self, x):
         return self._operator(x)
 
+    def rows(self, index):
+        """The VI of the rows ``index`` of a stack; every row shares this one."""
+        return self
+
     def project(self, x):
         """Componentwise clamp onto the box; idempotent and nonexpansive."""
         x = np.asarray(x, dtype=float)
-        if x.shape != self.lower.shape:
+        if x.shape[-1:] != self.lower.shape:
             raise ValueError(f"expected vector of length {self.dim}")
         return np.minimum(np.maximum(x, self.lower), self.upper)
 
@@ -113,7 +127,13 @@ class BoxVi:
         x = np.asarray(x, dtype=float)
         if fx is None:
             fx = self.operator(x)
-        return float(np.abs(x - self.project(x - fx)).max())
+        res = np.abs(x - self.project(x - fx)).max(axis=-1)
+        return float(res) if x.ndim == 1 else res
+
+    def evaluate(self, x):
+        """(F(x), natural residual at x), the two readings of one iterate."""
+        fx = self.operator(x)
+        return fx, self.natural_residual(x, fx)
 
     def contains(self, x, tol=0.0):
         x = np.asarray(x, dtype=float)
@@ -121,6 +141,54 @@ class BoxVi:
 
     def default_start(self):
         return self.project(np.zeros(self.dim))
+
+
+def _affine_map(model: ModelSpec):
+    """(L, c) with [F1, g] = X @ L + c at a flat point X = (Q, u).
+
+    With S_y the total shipped into market y, ubar the mean level and
+    DM = D * mu (D alone in the literal variant),
+
+        F1[x, y] = (2 a s - alpha_y) Q[x, y] - alpha_y S_y - gamma_y ubar
+                   + c_x + b s - kappa_y,
+        g[x]     = DM_x (1 - ubar) + DM_x (1 - u_x) / m + sum_y gamma_y Q[x, y] / m.
+
+    Column j of L holds the coefficients of output j; the diagonal of its
+    Q block is dF1[x, y]/dQ[x, y] = 2 a s - 2 alpha.
+    """
+    m, n = model.m, model.n
+    mn = m * n
+    M = model.mu_vec if model.loss_gradient_includes_multiplier else 1.0
+    dm = model.D_vec * M / m
+    gamma = model.gamma_vec / m
+    q = np.arange(mn)
+    x, y = np.divmod(q, n)  # retailer and market of shipment q = x * n + y
+    L = np.zeros((mn + m, mn + m))
+    # Q -> F1: a shipment lowers its market's price for every retailer
+    # (-alpha) and raises its own marginal cost as well (2 a s - 2 alpha in all).
+    L[:mn, :mn] = np.where(y[:, None] == y, -model.alpha_vec[y], 0.0)
+    L[q, q] = (2.0 * model.cost_a * model.cost_s - 2.0 * model.alpha_vec).ravel()
+    # u -> F1: each level raises every price by gamma / m.
+    L[mn:, :mn] = -gamma[y]
+    # Q -> g: an own shipment raises the benefit by gamma / m.
+    L[q, mn + x] = gamma[y]
+    # u -> g: each level lowers every benefit by DM / m, the own one twice.
+    L[mn:, mn:] = -dm - np.diag(dm)
+    c = np.concatenate([(model.c_vec[:, None] + model.cost_b * model.cost_s
+                         - model.kappa_vec).ravel(), model.D_vec * M + dm])
+    return L, c
+
+
+def _apply_map(x, L, c):
+    """[F1, g] = x @ L + c at a flat point or at each row of a stack.
+
+    Each row is its own vector-matrix product, so its bits do not depend on
+    the other rows of the stack (a 2-d x @ L is a matrix product, which
+    rounds differently).  L may hold one matrix per row.
+    """
+    out = np.vecmat(x, L)
+    out += c
+    return out
 
 
 class ViProblem(BoxVi):
@@ -141,57 +209,16 @@ class ViProblem(BoxVi):
             level_caps(model),
         ])
         super().__init__(self._assemble, lower, upper)
-        # Pre-fused parameter arrays for the hot path: F1 collapses to
-        # quad_coef * Q + const - (alpha * d + gamma * ubar), the price
-        # intercept kappa folded into const.
-        self._quad_coef = 2.0 * model.cost_a * model.cost_s - model.alpha_vec
-        self._f1_const = (model.c_vec[:, None] + model.cost_b * model.cost_s
-                          - model.kappa_vec)
-        self._alpha = model.alpha_vec
-        self._gamma = model.gamma_vec
-        self._gamma_over_m = model.gamma_vec / m
-        M = model.mu_vec if model.loss_gradient_includes_multiplier else np.ones(m)
-        self._DM = model.D_vec * M
-        self._DM_over_m = self._DM / m
-
-    def _blocks(self, Q, u, v):
-        """F1 (m x n) and g (m,) at (Q, u), with v = 1 - u and F2 = 1/v - g.
-
-        The one evaluation both layouts share: operator returns F2 = 1/v - g
-        and InvestmentVi's level block is w - ln max(g, 1), the level
-        condition 1/v = g in log form.  A stack of k points (Q of shape
-        (k, m, n), u and v of shape (k, m)) gives F1 of shape (k, m, n) and
-        g of shape (k, m), each row bit for bit that of its own call.
-        """
-        if u.ndim == 1:
-            # A Python sum of the m levels costs a fraction of a numpy reduction.
-            ubar = sum(u.tolist()) / self._m
-            market = self._alpha * Q.sum(axis=0) + self._gamma * ubar
-        else:
-            # The same Python sum per row keeps each row's bits.
-            ubar = np.array([sum(row) for row in u.tolist()])[:, None] / self._m
-            market = (self._alpha * Q.sum(axis=1) + self._gamma * ubar)[:, None]
-        f1 = self._quad_coef * Q
-        f1 += self._f1_const
-        f1 -= market
-        g = self._DM * (1.0 - ubar) + self._DM_over_m * v + Q @ self._gamma_over_m
-        return f1, g
+        self._L, self._c = _affine_map(model)
 
     def _assemble(self, x):
         """F at a flat point, or at each row of a (k, dim) stack of points."""
         mn = self._mn
-        stack = x.ndim == 2
-        u = x[:, mn:] if stack else x[mn:]
-        v = 1.0 - u
+        v = 1.0 - x[..., mn:]
         if v.min() <= 0.0:
             raise ValueError("operator undefined at security level >= 1")
-        if stack:
-            f1, g = self._blocks(x[:, :mn].reshape(-1, self._m, self._n), u, v)
-            return np.concatenate([f1.reshape(len(x), mn), 1.0 / v - g], axis=1)
-        f1, g = self._blocks(x[:mn].reshape(self._m, self._n), u, v)
-        out = np.empty(mn + self._m)
-        out[:mn] = f1.ravel()
-        out[mn:] = 1.0 / v - g
+        out = _apply_map(x, self._L, self._c)
+        np.subtract(1.0 / v, out[..., mn:], out=out[..., mn:])
         return out
 
     def split(self, x):
@@ -217,17 +244,22 @@ class ViProblem(BoxVi):
 
 
 class InvestmentVi(BoxVi):
-    """Solve-time view of a ViProblem in Jacobi-scaled coordinates (z, w).
+    """Solve-time view of ViProblems in Jacobi-scaled coordinates (z, w).
 
     z = sigma * Q with sigma[x, y] = sqrt(2 a[x, y] s[x, y] - 2 alpha[y]), the
     square root of dF1[x, y]/dQ[x, y], and w_x = -ln(1 - u_x), each
     retailer's security spend.  Box: 0 <= z <= sigma * q_upper and
     0 <= w <= -ln(1 - problem.upper[u]), which is min(B, -ln(1 - U_CAP)).
-    Operator: (F1 / sigma, G) with G = w - ln max(g, 1), from one evaluation
-    of the problem's blocks at Q = z / sigma, u = 1 - exp(-w).
+    Operator: (F1 / sigma, G) with G = w - ln max(g, 1), from the problem's
+    affine map [F1, g] at the mapped point Q = z / sigma, u = 1 - exp(-w).
     natural_residual is the (Q, u) natural residual of the mapped point, so
-    a tolerance keeps its meaning.  to_u / from_u convert flat points
-    between the two layouts.
+    a tolerance keeps its meaning.  to_u / from_u convert points between the
+    two layouts.
+
+    InvestmentVi(problem) views one problem, and every row of a stack of
+    points belongs to it.  InvestmentVi(p_1, ..., p_k), problems of one
+    shape, views them as one stack: its points are (k, dim) stacks whose
+    row i belongs to p_i, and ``rows`` restricts it to some of its rows.
 
     G and F2 = 1/v - g (v = 1 - u) give the same solutions because each
     level coordinate meets the box-VI conditions for G exactly when it
@@ -245,61 +277,92 @@ class InvestmentVi(BoxVi):
     over the whole box, not only near a solution.
     """
 
-    def __init__(self, problem: ViProblem):
-        self.problem = problem
-        model = problem.model
-        m, n, mn = problem._m, problem._n, problem._mn
-        self._m, self._n, self._mn = m, n, mn
-        # Positive and finite: the model requires a >= 0, s > 0, alpha < 0.
-        self._sigma = np.sqrt(2.0 * model.cost_a * model.cost_s - 2.0 * model.alpha_vec)
-        # (sigma, 1): takes Q to z in from_u and F1 / sigma back to F1.
-        self._scale = np.concatenate([self._sigma.ravel(), np.ones(m)])
-        super().__init__(self._scaled_operator, problem.lower, self.from_u(problem.upper))
+    def __init__(self, *problems: ViProblem):
+        first = problems[0]
+        mn = first._mn
+        if any((p._m, p._n) != (first._m, first._n) for p in problems):
+            raise ValueError("stacked problems must have one shape")
+        self.problems = problems
+        self._mn = mn
+        if len(problems) == 1:
+            self._L, self._c, self._u_upper = first._L, first._c, first.upper
+        else:
+            self._L = np.array([p._L for p in problems])
+            self._c = np.array([p._c for p in problems])
+            self._u_upper = np.array([p.upper for p in problems])
+        # (sigma, 1): takes Q to z in from_u and F1 to F1 / sigma in the operator.
+        # sigma^2 = 2 a s - 2 alpha is the Q block's diagonal of L, positive
+        # and finite because the model requires a >= 0, s > 0, alpha < 0.
+        self._scale = np.ones(self._c.shape)
+        self._scale[..., :mn] = np.sqrt(np.diagonal(self._L, axis1=-2, axis2=-1)[..., :mn])
+        self.lower = first.lower
+        self.upper = self.from_u(self._u_upper)
+
+    def rows(self, index):
+        """The view of the rows ``index`` of this stack."""
+        if len(self.problems) == 1:
+            return self
+        view = copy.copy(self)
+        view.problems = tuple(self.problems[i] for i in index)
+        for name in ("_scale", "_L", "_c", "_u_upper", "upper"):
+            setattr(view, name, getattr(self, name)[index])
+        return view
 
     def to_u(self, x):
-        """Flat (z, w) point -> flat (Q, u) point inside the problem's box."""
+        """(z, w) point or stack -> (Q, u) inside the problem's box."""
         xu = np.asarray(x, dtype=float) / self._scale
-        xu[self._mn:] = -np.expm1(-xu[self._mn:])
+        u = xu[..., self._mn:]
+        np.negative(np.expm1(np.negative(u, out=u), out=u), out=u)
         # One clamp keeps both blocks in the box: z / sigma can round one ulp
         # above q_upper and 1 - exp(-w) one ulp above the level cap.
-        return np.minimum(xu, self.problem.upper, out=xu)
+        return np.minimum(xu, self._u_upper, out=xu)
 
     def from_u(self, x):
-        """Flat (Q, u) point with u < 1 -> flat (z, w) point."""
+        """(Q, u) point or stack with u < 1 -> (z, w)."""
         out = np.asarray(x, dtype=float) * self._scale
-        out[self._mn:] = -np.log1p(-out[self._mn:])
+        out[..., self._mn:] = -np.log1p(-out[..., self._mn:])
         return out
 
     def default_start(self):
-        """The problem's default start mapped to (z, w)."""
-        return self.from_u(self.problem.default_start())
+        """The problems' default starts mapped to (z, w); a stack of them
+        for a stack of problems."""
+        if len(self.problems) == 1:
+            return self.from_u(self.problems[0].default_start())
+        return self.from_u(np.array([p.default_start() for p in self.problems]))
 
-    def _scaled_operator(self, x):
-        m, n, mn = self._m, self._n, self._mn
+    def _evaluate(self, x):
+        """The operator at x, the mapped point and [F1, g] there."""
+        mn = self._mn
         xu = self.to_u(x)
-        u = xu[mn:]
-        v = 1.0 - u
-        f1, g = self.problem._blocks(xu[:mn].reshape(m, n), u, v)
-        out = np.empty(mn + m)
-        np.divide(f1, self._sigma, out=out[:mn].reshape(m, n))
-        np.subtract(x[mn:], np.log(np.maximum(g, 1.0, out=g), out=g), out=out[mn:])
-        return out
+        fg = _apply_map(xu, self._L, self._c)
+        out = fg / self._scale
+        level = out[..., mn:]
+        np.log(np.maximum(level, 1.0, out=level), out=level)
+        np.subtract(x[..., mn:], level, out=level)
+        return out, xu, fg
 
-    def natural_residual(self, x, fx=None):
-        """Sup-norm (Q, u) natural residual at the mapped point.
+    def operator(self, x):
+        return self._evaluate(x)[0]
 
-        ``fx`` is this view's operator value at ``x``; multiplying its Q
-        block by sigma recovers F1, and -expm1(-G) / v = 1/v - max(g, 1)
-        recovers the level block without another evaluation.  That is F2
-        where g >= 1; where g < 1 both it and F2 are at least u / v >= u, so
-        the level's natural residual is u either way.
+    def evaluate(self, x):
+        """The operator at x and the (Q, u) natural residual of the mapped
+        point, from one evaluation of the map.
+
+        The residual's (Q, u) operator is [F1, 1/v - max(g, 1)] (v = 1 - u).
+        1/v - max(g, 1) is F2 where g >= 1; where g < 1 both it and F2 are
+        at least u / v >= u, so the level's natural residual is u either way.
         """
-        if fx is None:
-            fx = self.operator(x)
-        xu = self.to_u(x)
-        fu = fx * self._scale
-        fu[self._mn:] = -np.expm1(-fu[self._mn:]) / (1.0 - xu[self._mn:])
-        return self.problem.natural_residual(xu, fu)
+        out, xu, fu = self._evaluate(x)
+        level = fu[..., self._mn:]
+        np.subtract(1.0 / (1.0 - xu[..., self._mn:]), np.maximum(level, 1.0, out=level),
+                    out=level)
+        res = np.maximum.reduce(
+            np.abs(xu - np.minimum(np.maximum(xu - fu, 0.0), self._u_upper)), axis=-1)
+        return out, float(res) if xu.ndim == 1 else res
+
+    def natural_residual(self, x):
+        """Sup-norm (Q, u) natural residual at the mapped point (see evaluate)."""
+        return self.evaluate(x)[1]
 
 
 @dataclass

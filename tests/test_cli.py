@@ -518,6 +518,34 @@ class TestGradcheckCommand:
         assert "equilibrium certified" not in out
 
 
+class TestFailurePathOutput:
+    """An overflow ends in the command's one diagnostic line, with no numpy
+    RuntimeWarning before it."""
+
+    @pytest.mark.parametrize("command, edit, code, err, out", [
+        ("solve", lambda d: d["model"]["markets"][0].update(gamma=1e300),
+         EXIT_NO_CONVERGENCE, ["error: shrinkage ratio is not finite (iteration 0)"], None),
+        ("solve", lambda d: [mk.update(kappa=1e308) for mk in d["model"]["markets"]],
+         EXIT_NO_CONVERGENCE, ["error: operator returned non-finite values (iteration 0)"],
+         None),
+        ("gradcheck", lambda d: d["model"].update(q_upper=1e300),
+         EXIT_VERIFICATION, [], "FAIL: operator disagrees with finite differences"),
+    ], ids=["solve-gamma", "solve-kappa", "gradcheck-q-upper"])
+    def test_one_diagnostic_line(self, tmp_path, capsys, command, edit, code, err, out):
+        data = scenario_to_data(experiment1())
+        edit(data)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run([command, str(path)]) == code
+        captured = capsys.readouterr()
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert captured.err.splitlines() == err
+        if out is not None:
+            assert captured.out.splitlines()[-1] == out
+
+
 class TestSchemaHelpers:
     def test_unknown_top_level_key(self):
         data = scenario_to_data(experiment1())

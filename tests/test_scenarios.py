@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from secgame import scenarios, solver
 from secgame.cli import scenario_from_data, scenario_to_data
 from secgame.scenarios import (REFERENCE_TARGETS, Scenario, SweepResult, SweepRow,
                                SweepSpec, apply_parameter, builtin_sweep,
                                crossing_reconciliation, experiment1, experiment5,
                                experiment_model, find_crossing, parse_param, run_sweep,
-                               scenario_by_name, solve_scenario)
+                               scenario_by_name, solution_row, solve_scenario)
 from secgame.solver import SolverConfig
 from secgame.vi import DecisionVector
 
@@ -166,6 +167,27 @@ class TestSweepSpec:
         assert np.allclose(spec.grid(), [2.0, 2.5, 3.0])
 
 
+def cold_rows(spec):
+    """solution_row of solve_scenario at every grid value, each row alone."""
+    return [solution_row(*solve_scenario(apply_parameter(spec.scenario, spec.param,
+                                                         float(value))), value)
+            for value in spec.grid()]
+
+
+def sweep_and_stack(spec, monkeypatch):
+    """run_sweep(spec) and the StackReport of the one solve it makes."""
+    stacks = []
+
+    def recorded(*args, **kwargs):
+        stacks.append(solver.solve(*args, **kwargs))
+        return stacks[-1]
+
+    monkeypatch.setattr(scenarios, "solve", recorded)
+    result = run_sweep(spec)
+    stack, = stacks
+    return result, stack
+
+
 class TestRunSweep:
     def test_degenerate_two_point_sweep_rows_agree(self):
         spec = SweepSpec(experiment1(), "D1", 160.0, 160.0 + 1e-9, 2)
@@ -176,21 +198,29 @@ class TestRunSweep:
         assert np.max(np.abs(a.u - b.u)) < 1e-6
         assert np.max(np.abs(a.Q - b.Q)) < 1e-5
 
-    def test_warm_and_cold_rows_agree_within_tolerance(self):
-        spec = SweepSpec(experiment1(), "D1", 150.0, 170.0, 3)
-        for warm in run_sweep(spec).rows:
-            problem, report = solve_scenario(apply_parameter(spec.scenario, "D1", warm.value))
-            cold = problem.split(report.solution)
-            assert np.max(np.abs(warm.u - cold.u)) < 1e-6
-            assert np.max(np.abs(warm.Q - cold.Q)) < 1e-4
+    def test_rows_equal_their_cold_solves_bit_for_bit(self):
+        # Every row of a sweep is solve_scenario of its own scenario, to the
+        # last bit and iteration, whatever the other rows of the stack are.
+        for name in ("exp2", "exp3", "exp4"):
+            spec = builtin_sweep(name)
+            rows = run_sweep(spec).rows
+            assert len(rows) == spec.steps
+            for row, cold in zip(rows, cold_rows(spec)):
+                for attr in ("u", "Q", "lam", "eu", "residual", "iterations", "converged",
+                             "value"):
+                    assert np.array_equal(getattr(row, attr), getattr(cold, attr)), attr
 
-    def test_budget_sweep_iteration_count(self):
+    def test_budget_sweep_iteration_count(self, monkeypatch):
         # Iteration counts are deterministic, so they gate the cost of the
-        # budget-binding rows: the 31 rows take 361 iterations.
-        result = run_sweep(builtin_sweep("exp2"))
+        # budget-binding rows exactly: each row takes its cold count, 838
+        # in all, in the 32 passes of its largest row.
+        spec = builtin_sweep("exp2")
+        result, stack = sweep_and_stack(spec, monkeypatch)
         assert len(result.rows) == 31
         assert all(r.converged for r in result.rows)
-        assert sum(r.iterations for r in result.rows) <= 450
+        assert [r.iterations for r in result.rows] == [r.iterations for r in cold_rows(spec)]
+        assert stack.iterations == 838
+        assert stack.passes == 32
 
     def test_cold_budget_sweep_rows_are_cheap(self):
         # Solved cold, every row starts at u = 0, where the level block is
@@ -202,15 +232,18 @@ class TestRunSweep:
         assert all(r.converged for r in reports)
         assert max(r.iterations for r in reports) <= 40
 
-    @pytest.mark.parametrize("name, rows, gate", [
-        ("exp3", 81, 800),  # 704 iterations
-        ("exp4", 18, 350),  # 309 iterations
-    ])
-    def test_sweep_iteration_count(self, name, rows, gate):
-        result = run_sweep(builtin_sweep(name))
+    @pytest.mark.parametrize("name, rows, total, passes", [
+        ("exp3", 81, 1416, 19),
+        ("exp4", 18, 328, 21),
+    ], ids=["exp3", "exp4"])
+    def test_sweep_iteration_count(self, monkeypatch, name, rows, total, passes):
+        spec = builtin_sweep(name)
+        result, stack = sweep_and_stack(spec, monkeypatch)
         assert len(result.rows) == rows
         assert all(r.converged for r in result.rows)
-        assert sum(r.iterations for r in result.rows) <= gate
+        assert [r.iterations for r in result.rows] == [r.iterations for r in cold_rows(spec)]
+        assert stack.iterations == total
+        assert stack.passes == passes
 
     def test_rows_flagged_when_not_converged(self):
         base = experiment1()
@@ -299,6 +332,20 @@ class TestSeries:
         for name in ("w_1", "u_3", "Q_01_1"):
             with pytest.raises(KeyError):
                 res.series(name)
+
+    def test_columns_read_each_row_once(self, monkeypatch):
+        res = _synthetic_result([1.0, 2.0], [0.1, 0.2], [0.3, 0.4])
+        calls = []
+        original = SweepRow.columns
+        monkeypatch.setattr(SweepRow, "columns", lambda row: calls.append(row) or original(row))
+        cols = res.columns("param", "u_1", "u_2", "converged")
+        assert len(calls) == 2
+        assert np.array_equal(cols["param"], [1.0, 2.0])
+        assert np.array_equal(cols["u_1"], [0.1, 0.2])
+        assert find_crossing(res, "u_1", "u_2") is None
+        assert len(calls) == 4
+        with pytest.raises(KeyError, match="unknown series 'u_3'"):
+            find_crossing(res, "u_1", "u_3")
 
 
 class TestSolveScenario:

@@ -2,6 +2,7 @@
 equilibrium verifier, validated against problems with known solutions."""
 
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,12 +14,12 @@ from secgame.reference import (affine_vi_10d, binding_budget_model,
                                binding_budget_solution, decoupled_duopoly_model,
                                scalar_affine_vi, single_retailer_model,
                                single_retailer_solution)
-from secgame.scenarios import (Scenario, apply_parameter, experiment1, experiment5,
-                               experiment_model, solve_scenario)
+from secgame.scenarios import (Scenario, apply_parameter, builtin_sweep, experiment1,
+                               experiment5, experiment_model, solve_scenario)
 from secgame.solver import (DegenerateDirectionError, SolverConfig, SolverNumericError,
-                            best_response_solve, correct, predict, solve,
-                            verify_equilibrium)
-from secgame.vi import BoxVi, DecisionVector, ViProblem
+                            SolverReport, StackReport, best_response_solve, correct,
+                            predict, solve, verify_equilibrium)
+from secgame.vi import BoxVi, DecisionVector, InvestmentVi, ViProblem
 from test_vi import clamped_exp1_model
 
 
@@ -225,6 +226,89 @@ class TestSolveAffine:
         with pytest.raises(SolverNumericError) as err:
             solve(vi, SolverConfig(), x0=np.array([0.5]))
         assert err.value.iteration == 0
+
+
+def same_report(a, b):
+    return (np.array_equal(a.solution, b.solution) and a.iterations == b.iterations
+            and a.final_residual == b.final_residual and a.converged == b.converged
+            and a.beta_retries == b.beta_retries)
+
+
+class TestStackedSolve:
+    """A (k, dim) start solves k rows in one loop; each row is the solve of
+    that row alone."""
+
+    @pytest.mark.parametrize("max_iter, counts, converged", [
+        (200_000, [0, 19, 17, 18], [True] * 4),
+        (17, [0, 17, 17, 17], [True, False, True, False]),
+    ], ids=["converge", "max-iter"])
+    def test_rows_leave_the_stack_when_they_stop(self, max_iter, counts, converged):
+        # Row 0 starts at the solution; the others stop at their own counts.
+        vi, _ = scalar_affine_vi()
+        cfg = SolverConfig(tol=1e-10, max_iter=max_iter)
+        starts = np.array([[3.0], [9.0], [3.5], [5.0]])
+        stack = solve(vi, cfg, x0=starts)
+        assert isinstance(stack, StackReport)
+        flat = [solve(vi, cfg, x0=x) for x in starts]
+        assert all(isinstance(r, SolverReport) for r in flat)
+        assert all(same_report(a, b) for a, b in zip(stack.reports, flat))
+        assert [r.iterations for r in flat] == counts
+        assert [r.converged for r in flat] == converged
+        assert stack.iterations == sum(counts)
+        assert stack.beta_retries == sum(r.beta_retries for r in flat) == 3
+        assert stack.passes == max(counts)
+
+    def test_rows_do_not_depend_on_the_stack(self):
+        # The 81 exp3 rows, shuffled, solved in stacks of 1, 3 and 81: each
+        # row's report has the same bits and counts in all three, and equals
+        # the flat solve of its row.
+        spec = builtin_sweep("exp3")
+        problems = [ViProblem(apply_parameter(spec.scenario, "D1", float(v)).model)
+                    for v in spec.grid()]
+        order = np.random.default_rng(3).permutation(len(problems))
+        problems = [problems[i] for i in order]
+        start = spec.scenario.x0.flat()
+
+        def solve_in_stacks_of(size):
+            reports = []
+            for first in range(0, len(problems), size):
+                view = InvestmentVi(*problems[first:first + size])
+                x0 = view.from_u(np.tile(start, (len(view.problems), 1)))
+                reports += solve(view, spec.scenario.config, x0=x0).reports
+            return reports
+
+        alone, threes, whole = (solve_in_stacks_of(k) for k in (1, 3, 81))
+        for a, b, c in zip(alone, threes, whole):
+            assert a.converged and same_report(a, b) and same_report(a, c)
+        view = InvestmentVi(problems[0])
+        assert same_report(solve(view, spec.scenario.config, x0=view.from_u(start)), alone[0])
+
+    def test_a_failing_row_fails_the_stack_without_warnings(self):
+        # gamma = 1e300 overflows |F(X) - F(Xt)| on the second row.
+        model = experiment1().model
+        huge = replace(model, markets=(replace(model.markets[0], gamma=1e300),
+                                       model.markets[1]))
+        view = InvestmentVi(ViProblem(model), ViProblem(huge))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverNumericError, match="shrinkage ratio is not finite"):
+                solve(view, x0=view.default_start())
+
+    def test_step_functions_work_row_by_row(self):
+        # Stacked predict and correct give each row its flat result; the
+        # second row's step size makes its correction direction vanish.
+        vi, _ = scalar_affine_vi()
+        x, beta = np.array([[0.0], [1.0]]), [0.5, 1.0]
+        xt, ft, r = predict(vi, x, beta)
+        for i in range(2):
+            flat = predict(vi, x[i], beta[i])
+            assert np.array_equal(xt[i], flat[0]) and np.array_equal(ft[i], flat[1])
+            assert r[i] == flat[2]
+        fx = vi.operator(x)
+        assert np.array_equal(correct(x[:1], xt[:1], beta[:1], fx[:1], ft[:1], 1.9)[0],
+                              correct(x[0], xt[0], beta[0], fx[0], ft[0], 1.9))
+        with pytest.raises(DegenerateDirectionError):
+            correct(x, xt, beta, fx, ft, 1.9)
 
 
 def closed_form_triple(problem, solution):
