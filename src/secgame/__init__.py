@@ -2,9 +2,7 @@
 nonlinear budget constraints, built on a box-constrained variational
 inequality and a self-adaptive projection-contraction method."""
 
-from .model import (MarketParams, ModelSpec, RetailerParams, TransactionCostParams,
-                    attack_probability, budget_gap, mean_security, security_cost,
-                    security_cost_deriv)
+from .model import MarketParams, ModelSpec, RetailerParams, TransactionCostParams
 from .scenarios import (REFERENCE_TARGETS, Scenario, SweepResult, SweepSpec,
                         builtin_sweep, experiment1, experiment5, experiment_model,
                         find_crossing, run_sweep, scenario_by_name, solve_scenario)
@@ -17,8 +15,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MarketParams", "ModelSpec", "RetailerParams", "TransactionCostParams",
-    "attack_probability", "budget_gap", "mean_security", "security_cost",
-    "security_cost_deriv",
     "REFERENCE_TARGETS", "Scenario", "SweepResult", "SweepSpec", "builtin_sweep",
     "experiment1", "experiment5", "experiment_model", "find_crossing", "run_sweep",
     "scenario_by_name", "solve_scenario",

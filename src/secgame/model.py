@@ -4,9 +4,11 @@ Retailers ship product quantities Q[x, y] into demand markets and choose a
 security level u[x] in [0, 1).  Market prices fall linearly in total demand
 and rise with the network-wide mean security level; a successful attack
 costs retailer x a fixed loss, weighted by an attack probability that decays
-as both its own and the network's security levels rise.  All evaluation here
-is pure and side-effect free; a ModelSpec is immutable after construction
-and safe to share across concurrent solves.
+as both its own and the network's security levels rise.  The module holds
+the parameter types and one value function, ModelSpec.expected_utility,
+which evaluates a retailer's payoff at one point or at a broadcast stack of
+points.  Evaluation is pure and side-effect free; a ModelSpec is immutable
+after construction and safe to share across concurrent solves.
 """
 
 from __future__ import annotations
@@ -22,61 +24,7 @@ __all__ = [
     "MarketParams",
     "RetailerParams",
     "ModelSpec",
-    "security_cost",
-    "security_cost_deriv",
-    "budget_gap",
-    "mean_security",
-    "attack_probability",
 ]
-
-
-def security_cost(u):
-    """Investment cost -ln(1 - u) of holding security level u; diverges at u = 1."""
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
-        raise ValueError("security level must lie in [0, 1)")
-    out = -np.log1p(-arr)
-    return float(out) if arr.ndim == 0 else out
-
-
-def security_cost_deriv(u):
-    """Marginal investment cost 1 / (1 - u)."""
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
-        raise ValueError("security level must lie in [0, 1)")
-    out = 1.0 / (1.0 - arr)
-    return float(out) if arr.ndim == 0 else out
-
-
-def budget_gap(u, B):
-    """Budget slack -ln(1 - u) - B; the level u is affordable iff the gap is <= 0."""
-    if B <= 0.0:
-        raise ValueError("budget must be positive")
-    return security_cost(u) - B
-
-
-def mean_security(u):
-    """Network-wide security level: the arithmetic mean of all retailer levels."""
-    arr = np.asarray(u, dtype=float)
-    if arr.size == 0:
-        raise ValueError("mean_security of an empty vector")
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
-        raise ValueError("security levels must lie in [0, 1)")
-    return float(arr.mean())
-
-
-def attack_probability(u_x, u_bar, mu):
-    """Chance (1 - u_x)(1 - u_bar) * mu that an attack on retailer x succeeds.
-
-    Nonincreasing in both the retailer's own level u_x and the network level
-    u_bar.  ``mu`` scales base exposure (large retailers are attacked more);
-    u_x = 1 or u_bar = 1 are accepted as limits where the probability is 0.
-    """
-    if not (0.0 <= u_x <= 1.0 and 0.0 <= u_bar <= 1.0):
-        raise ValueError("security levels must lie in [0, 1]")
-    if mu < 0.0:
-        raise ValueError("attack multiplier must be nonnegative")
-    return (1.0 - u_x) * (1.0 - u_bar) * mu
 
 
 def _require_finite(params, names):
@@ -100,12 +48,6 @@ class TransactionCostParams:
             raise ValueError("quadratic coefficient a must be nonnegative")
         if self.s <= 0.0:
             raise ValueError("cost scale s must be positive")
-
-    def cost(self, q):
-        return (self.a * q * q + self.b * q) * self.s
-
-    def marginal(self, q):
-        return (2.0 * self.a * q + self.b) * self.s
 
 
 @dataclass(frozen=True)
@@ -231,51 +173,16 @@ class ModelSpec:
     def cost_s(self):
         return np.array([[tc.s for tc in r.costs] for r in self.retailers])
 
-    def demand(self, Q, y):
-        """Total quantity shipped into market y: the column sum of Q."""
-        Q = np.asarray(Q, dtype=float)
-        if not 0 <= y < self.n:
-            raise IndexError(f"market index {y} out of range")
-        return float(Q[:, y].sum())
-
-    def price(self, y, Q, u):
-        """Market y price at quantities Q and security levels u."""
-        if not 0 <= y < self.n:
-            raise IndexError(f"market index {y} out of range")
-        mk = self.markets[y]
-        return mk.alpha * self.demand(Q, y) + mk.gamma * mean_security(u) + mk.kappa
-
-    def prices(self, Q, u):
-        """All market prices as a length-n vector."""
-        Q = np.asarray(Q, dtype=float)
-        d = Q.sum(axis=0)
-        return self.alpha_vec * d + self.gamma_vec * mean_security(u) + self.kappa_vec
-
-    def profit(self, x, Q, u):
-        """Retailer x trading profit: revenue minus handling and transaction costs."""
-        if not 0 <= x < self.m:
-            raise IndexError(f"retailer index {x} out of range")
-        Q = np.asarray(Q, dtype=float)
-        row = Q[x]
-        rho = self.prices(Q, u)
-        trans = sum(tc.cost(q) for tc, q in zip(self.retailers[x].costs, row))
-        return float(rho @ row - self.retailers[x].c * row.sum() - trans)
-
     def expected_utility(self, x, Q, u):
-        """Retailer x profit net of expected attack loss and investment cost."""
-        if not 0 <= x < self.m:
-            raise IndexError(f"retailer index {x} out of range")
-        r = self.retailers[x]
-        u = np.asarray(u, dtype=float)
-        p = attack_probability(u[x], mean_security(u), r.mu)
-        return self.profit(x, Q, u) - r.D * p - security_cost(u[x])
+        """Retailer x's profit net of expected attack loss and investment cost.
 
-    def expected_utility_batch(self, x, Q, u):
-        """expected_utility of retailer x at many points in one evaluation.
-
+        Profit is revenue at the market prices alpha * demand + gamma * mean u
+        + kappa, less the handling cost c and the transaction costs
+        (a q^2 + b q) s of the retailer's shipments; the expected loss is
+        D * mu * (1 - u_x)(1 - mean u) and the investment cost -ln(1 - u_x).
         ``Q`` has shape (..., m, n) and ``u`` shape (..., m); their leading
-        shapes broadcast against each other and give the shape of the result.
-        Equal to expected_utility up to the order of floating-point sums.
+        shapes broadcast against each other and give the shape of the result,
+        so a single point gives a numpy float.
         """
         if not 0 <= x < self.m:
             raise IndexError(f"retailer index {x} out of range")
@@ -294,5 +201,6 @@ class ModelSpec:
         rho = self.alpha_vec * Q.sum(axis=-2) + self.gamma_vec * u_bar[..., None] \
             + self.kappa_vec
         trans = (self.cost_a[x] * row * row + self.cost_b[x] * row) * self.cost_s[x]
-        profit = (rho * row).sum(axis=-1) - r.c * row.sum(axis=-1) - trans.sum(axis=-1)
+        # vecdot, not (rho * row).sum(), keeps the summation of rho @ row.
+        profit = np.vecdot(rho, row) - r.c * row.sum(axis=-1) - trans.sum(axis=-1)
         return profit - r.D * ((1.0 - u_x) * (1.0 - u_bar) * r.mu) + np.log1p(-u_x)

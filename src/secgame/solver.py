@@ -376,8 +376,9 @@ class VerificationReport:
 
     ``improvements[x]`` is the largest gain in expected utility retailer x
     could find over its own feasible block with rivals fixed, or NaN when
-    the audit could not read its value function (a non-finite value, or
-    values that are not quadratic in the own shipments).  The point is
+    the audit could not read its value function (a non-finite value,
+    values that are not quadratic in the own shipments, or values so large
+    that their rounding can reach eps_br).  The point is
     certified when every improvement is at most eps_br, so a NaN never
     certifies.  ``best_points[x]`` is the maximising (shipments, level).
     """
@@ -402,14 +403,19 @@ _PROBES = np.array([0.5, 1.0, 0.25])
 # a few ulps; a value function that is not quadratic leaves far more.
 _QUADRATIC_RTOL = 1e-9
 
+# A gain is a difference of readings, each of which is known to about one
+# ulp of its size; gains are trusted only while this many ulps of the
+# largest reading stay within eps_br.
+_READING_ULPS = 1e3
+
 
 def _own_move_readings(model: ModelSpec, x_idx, point: DecisionVector, u_axis):
     """Retailer x_idx's utility at 1 + 3n own shipment patterns and the own
     levels ``u_axis``, with rivals held at ``point``; shape (1 + 3n, d_u).
 
     Pattern 0 ships nothing.  Pattern 1 + 3y + k ships q_upper * _PROBES[k]
-    into market y and nothing elsewhere.  One call to the model's batched
-    value function reads them all.
+    into market y and nothing elsewhere.  One call to the model's
+    broadcasting value function reads them all.
     """
     n = model.n
     u = np.repeat(point.u[None], len(u_axis), axis=0)
@@ -418,7 +424,7 @@ def _own_move_readings(model: ModelSpec, x_idx, point: DecisionVector, u_axis):
     Q[:, x_idx] = 0.0
     for y in range(n):
         Q[1 + 3 * y:4 + 3 * y, x_idx, y] = model.q_upper * _PROBES
-    return model.expected_utility_batch(x_idx, Q[:, None], u[None])
+    return model.expected_utility(x_idx, Q[:, None], u[None])
 
 
 def _market_maxima(readings):
@@ -450,8 +456,9 @@ def _market_maxima(readings):
     return totals, t
 
 
-# Bound on density**(n+1) per retailer: it sets the range --grid accepts,
-# not an allocation, since a pass reads only density * (1 + 3n) values.
+# Bound on density**(n+1) per retailer.  A pass reads only
+# density * (1 + 3n) values, so it bounds no allocation; it stays because it
+# fixes the range of densities --grid accepts.
 _MAX_GRID_POINTS = 10_000_000
 
 
@@ -468,13 +475,16 @@ def verify_equilibrium(model: ModelSpec, point: DecisionVector, grid_density=50,
     then the grid is refined around the best level ``refinements`` times.
     At each level the own shipments are optimised exactly: each market term
     of the utility is a quadratic in its own shipment, read off the model's
-    batched value function (see _market_maxima) and maximised over
-    [0, q_upper] in closed form.  A pass reads grid_density * (1 + 3n)
-    values.  The gain is measured against the same batched function at the
-    point.  Purely diagnostic; a positive improvement means the retailer
-    could deviate profitably, and a NaN that its values are not finite or
-    not quadratic, so the point is not certified.  Densities whose lattice
-    density**(n+1) exceeds _MAX_GRID_POINTS are refused with ValueError.
+    value function (see _market_maxima) and maximised over [0, q_upper] in
+    closed form.  A pass reads grid_density * (1 + 3n) values.  The gain is
+    measured against the same function at the point.  Purely diagnostic; a
+    positive improvement means the retailer could deviate profitably, and a
+    NaN that its values are not finite, not quadratic, or too large for
+    their rounding to stay below eps_br (_READING_ULPS ulps of the largest
+    reading), so the point is not certified.  Densities whose lattice
+    density**(n+1) exceeds _MAX_GRID_POINTS are refused with ValueError:
+    that bound no longer limits an allocation, but it fixes the range of
+    densities the command line accepts.
     """
     if grid_density < 2:
         raise ValueError("grid_density must be at least 2")
@@ -493,10 +503,13 @@ def verify_equilibrium(model: ModelSpec, point: DecisionVector, grid_density=50,
         best_val, best_u, best_q = -math.inf, 0.0, np.zeros(n)
         # Overflow and 0 * inf are reported as a NaN improvement instead.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            base = float(model.expected_utility_batch(x_idx, point.Q, point.u))
+            base = float(model.expected_utility(x_idx, point.Q, point.u))
+            top = abs(base)
             for _ in range(refinements + 1):
                 u_axis = _grid_axes(u_lo, u_hi, grid_density)
-                fit = _market_maxima(_own_move_readings(model, x_idx, point, u_axis))
+                readings = _own_move_readings(model, x_idx, point, u_axis)
+                top = max(top, float(np.abs(readings).max()))
+                fit = _market_maxima(readings)
                 if fit is None:
                     best_val = math.nan
                     break
@@ -511,7 +524,8 @@ def verify_equilibrium(model: ModelSpec, point: DecisionVector, grid_density=50,
                 u_lo = max(0.0, best_u - du)
                 u_hi = min(u_cap_x, best_u + du)
 
-        improvements[x_idx] = best_val - base if math.isfinite(base) else math.nan
+        readable = _READING_ULPS * np.finfo(float).eps * top <= eps_br
+        improvements[x_idx] = best_val - base if readable else math.nan
         best_points.append((best_q, best_u))
 
     certified = bool(np.all(improvements <= eps_br))

@@ -408,10 +408,10 @@ def _fd_errors(problem: ViProblem, X, step):
 
     Retailer x's objective -expected_utility is differentiated in its own
     (Q row, u) block with rivals frozen.  Its 2(n+1) central-difference
-    points at all k rows go to the model's batched value function in one
-    call, so the differences share no code with the operator assembly.  The
-    operator itself is evaluated once on the whole (k, dim) stack, through
-    the same assembly the solver calls.
+    points at all k rows go to the model's value function in one call, so
+    the differences share no code with the operator assembly.  The operator
+    itself is evaluated once on the whole (k, dim) stack, through the same
+    assembly the solver calls.
     Returns q_err of shape (k, m, n) and u_err of shape (k, m).
     """
     m, n, mn = problem._m, problem._n, problem._mn
@@ -436,7 +436,7 @@ def _fd_errors(problem: ViProblem, X, step):
         up = np.repeat(u, 2 * (n + 1), axis=1)
         Qp[:, on_q, xi, coord[on_q]] += delta[on_q]
         up[:, -2:, xi] += delta[-2:]
-        obj = -problem.model.expected_utility_batch(xi, Qp, up)
+        obj = -problem.model.expected_utility(xi, Qp, up)
         fd = (obj[:, 0::2] - obj[:, 1::2]) / (2.0 * step)
         f = F_own[:, xi]
         err[:, xi] = np.abs(f - fd) / np.maximum(1.0, np.maximum(np.abs(f), np.abs(fd)))
@@ -457,8 +457,8 @@ def fd_check(problem: ViProblem, x, step=1e-5):
     """Check F1 and F2 against central differences of each retailer's objective.
 
     Each retailer is differentiated in its own (Q row, u) block with rivals
-    frozen; the oracle evaluates -expected_utility from the model's value
-    functions, so it shares no code with the operator assembly.  Relative
+    frozen; the oracle evaluates -expected_utility, the model's value
+    function, so it shares no code with the operator assembly.  Relative
     errors use the denominator max(1, |F|, |fd|).
     """
     _check_step(step)

@@ -19,7 +19,8 @@ import pytest
 
 from secgame import cli, model, scenarios, solver, vi
 from secgame.cli import main, scenario_to_data
-from secgame.scenarios import Scenario, experiment1, experiment_model, solve_scenario
+from secgame.scenarios import (Scenario, apply_parameter, experiment1, experiment_model,
+                               solve_scenario)
 from secgame.solver import SolverConfig
 from secgame.vi import DecisionVector
 
@@ -27,16 +28,16 @@ PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 SG = types.SimpleNamespace(cli=cli, model=model, scenarios=scenarios, solver=solver, vi=vi)
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  PERFBENCH / "tracing.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_wrap_point_resolves():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     points = tracing.wrap_points(SG)
     assert points
     for owner, attr, name, _ in points:
@@ -94,3 +95,17 @@ def test_certify_call_sequence_on_exp1():
     assert br.converged and br.iterations > 0
     assert audit.certified
     assert fd.max_rel_error <= 1e-5
+
+
+@pytest.mark.parametrize("scenario, binds", [
+    (experiment1(), False),
+    (apply_parameter(experiment1(), "B1", 2.2), True),
+], ids=["exp1", "exp1-B1-2.2"])
+def test_kkt_checks_accept_an_equilibrium(scenario, binds):
+    # The benchmark's own optimality check differentiates expected_utility at
+    # single points (u step 1e-6); at B1 = 2.2 retailer 1's budget binds.
+    checks = _load("checks")
+    problem, report = solve_scenario(scenario)
+    point = problem.split(report.solution)
+    assert report.converged and bool(point.lam[0] > 0.0) == binds
+    assert checks.kkt_violations(scenario.model, point.Q, point.u, point.lam) == []

@@ -454,6 +454,21 @@ class TestVerifyCommand:
         assert run(["verify", str(path), "--grid", "50"]) == EXIT_VERIFICATION
         assert "NOT certified" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("markets", [[0, 1], [0]], ids=["every-market", "market-1"])
+    def test_saturated_utilities_are_not_certified(self, tmp_path, capsys, markets):
+        # kappa = 1e300 gives utilities of ~1e302, whose rounding is far
+        # above the threshold 1e-3: every gain the audit takes reads 0, so
+        # it reports nan instead of certifying.
+        data = scenario_to_data(experiment1())
+        for y in markets:
+            data["model"]["markets"][y]["kappa"] = 1e300
+        path = tmp_path / "saturated.json"
+        path.write_text(json.dumps(data))
+        assert run(["verify", str(path)]) == EXIT_VERIFICATION
+        out = capsys.readouterr().out
+        assert "best unilateral improvement nan" in out
+        assert "equilibrium certified" not in out
+
     def test_single_retailer_trivial_scenario(self, tmp_path, capsys):
         data = {
             "model": {

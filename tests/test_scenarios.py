@@ -1,5 +1,7 @@
 """Tests for scenario construction, parameter sweeps and crossing detection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -385,8 +387,11 @@ class TestSolveScenario:
         problem, report = solve_scenario(experiment1())
         point = problem.split(report.solution)
         model = experiment1().model
-        assert model.profit(0, point.Q, point.u) == pytest.approx(4219.0305, abs=1e-3)
-        assert model.profit(1, point.Q, point.u) == pytest.approx(6150.0311, abs=1e-3)
+        # Without attack losses the utility is profit less the investment cost.
+        no_loss = replace(model, retailers=tuple(replace(r, D=0.0) for r in model.retailers))
+        for x, profit in enumerate((4219.0305, 6150.0311)):
+            assert no_loss.expected_utility(x, point.Q, point.u) - np.log1p(-point.u[x]) \
+                == pytest.approx(profit, abs=1e-3)
         assert model.expected_utility(0, point.Q, point.u) == pytest.approx(
             4215.2566, abs=1e-3)
         assert model.expected_utility(1, point.Q, point.u) == pytest.approx(

@@ -25,8 +25,9 @@ from test_vi import clamped_exp1_model
 
 def full_lattice_audit(model, point, grid_density, refinements=2):
     """Reference audit for n <= 2: the whole product lattice of own moves,
-    evaluated by the model's batched value function, with the zoom-in
-    refinement of verify_equilibrium.  Returns (improvements, best_points)."""
+    evaluated by the model's value function in one call per pass, with the
+    zoom-in refinement of verify_equilibrium.  Returns (improvements,
+    best_points)."""
     assert model.n <= 2
     m, n = model.m, model.n
     u_caps = ViProblem(model).upper[m * n:]
@@ -44,7 +45,7 @@ def full_lattice_audit(model, point, grid_density, refinements=2):
             u[..., x] = axes[0].reshape((-1,) + (1,) * n)
             for y in range(n):
                 Q[..., x, y] = axes[1 + y].reshape((1,) * y + (-1,) + (1,) * (n - 1 - y))
-            vals = model.expected_utility_batch(x, Q, u)
+            vals = model.expected_utility(x, Q, u)
             idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
             if vals[idx] > best_val:
                 best_val = float(vals[idx])
@@ -669,14 +670,14 @@ class TestVerifyEquilibrium:
         scen = experiment1()
         problem, report = solve_scenario(scen)
         point = problem.split(report.solution)
-        real = ModelSpec.expected_utility_batch
+        real = ModelSpec.expected_utility
 
         def cubic(self, x, Q, u):
             # A cubic term worth 1 at q_upper, against utilities of ~5 000.
             Q = np.asarray(Q, dtype=float)
             return real(self, x, Q, u) + 1e-6 * Q[..., x, 0] ** 3
 
-        monkeypatch.setattr(ModelSpec, "expected_utility_batch", cubic)
+        monkeypatch.setattr(ModelSpec, "expected_utility", cubic)
         audit = verify_equilibrium(scen.model, point)
         assert np.all(np.isnan(audit.improvements))
         assert math.isnan(audit.max_improvement)
@@ -690,7 +691,7 @@ class TestVerifyEquilibrium:
         model = build()
         problem, report = solve_equilibrium(model)
         point = problem.split(report.solution)
-        real = ModelSpec.expected_utility_batch
+        real = ModelSpec.expected_utility
         sizes = []
 
         def counting(self, x, Q, u):
@@ -698,7 +699,7 @@ class TestVerifyEquilibrium:
             sizes.append(np.size(values))
             return values
 
-        monkeypatch.setattr(ModelSpec, "expected_utility_batch", counting)
+        monkeypatch.setattr(ModelSpec, "expected_utility", counting)
         verify_equilibrium(model, point, grid_density=50, refinements=2)
         # Per retailer: the base value, then three passes of 50 levels at
         # 1 + 3n own shipment patterns.
